@@ -2,22 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: test test-batched test-numpy properties golden coverage bench \
+.PHONY: test test-reference properties golden coverage bench \
 	bench-smoke regress serve-sweep fleet-sweep faults passes-sweep \
 	ntt-cores lint examples tables profile quicktest all
 
+# Tier-1 on the default (numpy) kernel backend.
 test:
 	$(PYTHON) -m pytest tests/
 
-# Same tier-1 suite with the limb-parallel kernel backend active:
-# end-to-end proof the backends are interchangeable.
-test-batched:
-	REPRO_KERNEL_BACKEND=batched $(PYTHON) -m pytest tests/ -x -q
-
-# And with the fully vectorized numpy backend (the third leg of the
-# backend matrix; also the only backend exact beyond 31-bit moduli).
-test-numpy:
-	REPRO_KERNEL_BACKEND=numpy $(PYTHON) -m pytest tests/ -x -q
+# Same tier-1 suite on the per-limb reference oracle: end-to-end proof
+# the backends are interchangeable.
+test-reference:
+	REPRO_KERNEL_BACKEND=reference $(PYTHON) -m pytest tests/ -x -q
 
 # Hypothesis suite under the derandomized CI profile.
 properties:

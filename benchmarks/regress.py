@@ -70,13 +70,13 @@ FIG10_SMOKE = (2, 3)
 #: Functional-plane NTT micro-benchmark shape (wall-clock, per backend).
 MICRONTT_DEGREE = 4096
 MICRONTT_LIMBS = 8
-MICRONTT_BACKENDS = ("reference", "batched", "numpy")
+MICRONTT_BACKENDS = ("reference", "numpy")
 #: Fused radix-2^k microbench (the paper's radix-8 configuration).
-#: Runs after the radix-2 entries, so both vectorized backends hit it
-#: with their per-(moduli, n) table caches equally warm and the entry
-#: compares execution strategies, not cold-start table builds.
+#: Runs after the radix-2 entries, so the vectorized backend hits it
+#: with its per-(moduli, n) plan cache warm and the entry times the
+#: execution strategy, not a cold-start table build.
 MICRONTT_FUSED_RADIX = 3
-MICRONTT_FUSED_BACKENDS = ("batched", "numpy")
+MICRONTT_FUSED_BACKENDS = ("numpy",)
 
 #: Open-system serving workloads. The saturation entries gate the knee
 #: of the load sweep (see bench_serving_sweep.py) as *seconds per
@@ -214,9 +214,7 @@ def _microntt_fused_seconds(backend_name: str) -> float:
     Same contract as :func:`_microntt_seconds`: simulated time is 0.0,
     the wall_seconds the runner wraps around this thunk is the
     measurement. The numpy backend's acceptance speedup is read off
-    this entry — at the paper's fused radix the batched backend falls
-    off its precomputed-stage fast path while the vectorized engine is
-    fusion-agnostic.
+    this entry at the paper's fused radix.
     """
     import numpy as np
 
@@ -337,20 +335,6 @@ def report_microntt_speedup(workloads: dict[str, dict]) -> None:
                     f"{b} is {ref / wall:.1f}x faster than reference "
                     f"({ref * 1e3:.1f} ms -> {wall * 1e3:.1f} ms wall)"
                 )
-    fused = {
-        b: f"microntt-fused/N{MICRONTT_DEGREE}-L{MICRONTT_LIMBS}"
-           f"-k{MICRONTT_FUSED_RADIX}/{b}"
-        for b in MICRONTT_FUSED_BACKENDS
-    }
-    if all(name in workloads for name in fused.values()):
-        bat = workloads[fused["batched"]]["wall_seconds"]
-        npw = workloads[fused["numpy"]]["wall_seconds"]
-        if npw > 0:
-            print(
-                f"  microntt-fused k={MICRONTT_FUSED_RADIX}: "
-                f"numpy is {bat / npw:.1f}x faster than batched "
-                f"({bat * 1e3:.1f} ms -> {npw * 1e3:.1f} ms wall)"
-            )
 
 
 def build_suite(smoke: bool) -> list[tuple[str, object]]:

@@ -23,7 +23,7 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.keys import KeyChain
 from repro.ckks.keyswitch import apply_switch_key
 from repro.ckks.params import CkksParameters
-from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
+from repro.ntt.negacyclic import intt_polys, ntt_polys
 from repro.obs import metrics
 from repro.rns.basis_convert import rescale as rns_rescale
 from repro.rns.poly import RnsPolynomial
@@ -58,8 +58,9 @@ class CkksEvaluator:
             pipeline (True, the Poseidon design) or the naive
             element-wise mapping (False, the 'Auto' ablation).
         kernel_backend: kernel backend name for this evaluator's
-            operations ("reference"/"batched"); ``None`` follows the
-            process-wide selection (``REPRO_KERNEL_BACKEND``).
+            operations (see :func:`repro.kernels.available_backends`);
+            ``None`` follows the process-wide selection
+            (``REPRO_KERNEL_BACKEND``, else ``numpy``).
     """
 
     def __init__(
@@ -208,11 +209,8 @@ class CkksEvaluator:
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Ciphertext-plaintext multiplication (PMult); scale multiplies."""
         poly = self._plain_at_level(pt, ct.level)
-        pt_ntt = ntt_negacyclic(poly)
-        parts = tuple(
-            intt_negacyclic(ntt_negacyclic(p).hadamard(pt_ntt))
-            for p in ct.parts
-        )
+        pt_ntt, *parts_ntt = ntt_polys((poly,) + ct.parts)
+        parts = intt_polys([p.hadamard(pt_ntt) for p in parts_ntt])
         self._record("PMult", ct)
         return Ciphertext(
             parts=parts, scale=ct.scale * pt.scale, level=ct.level
@@ -237,11 +235,12 @@ class CkksEvaluator:
             raise EvaluationError(
                 "multiply expects relinearized (2-part) inputs"
             )
-        a0, a1 = (ntt_negacyclic(p) for p in a.parts)
-        b0, b1 = (ntt_negacyclic(p) for p in b.parts)
-        d0 = intt_negacyclic(a0.hadamard(b0))
-        d1 = intt_negacyclic(a0.hadamard(b1) + a1.hadamard(b0))
-        d2 = intt_negacyclic(a1.hadamard(b1))
+        a0, a1, b0, b1 = ntt_polys(a.parts + b.parts)
+        d0, d1, d2 = intt_polys((
+            a0.hadamard(b0),
+            a0.hadamard(b1) + a1.hadamard(b0),
+            a1.hadamard(b1),
+        ))
         self._record("CMult", a)
         result = Ciphertext(
             parts=(d0, d1, d2), scale=a.scale * b.scale, level=a.level
@@ -255,11 +254,11 @@ class CkksEvaluator:
         """Homomorphic squaring (saves one NTT vs generic multiply)."""
         if ct.size != 2:
             raise EvaluationError("square expects a relinearized input")
-        c0, c1 = (ntt_negacyclic(p) for p in ct.parts)
-        d0 = intt_negacyclic(c0.hadamard(c0))
+        c0, c1 = ntt_polys(ct.parts)
         cross = c0.hadamard(c1)
-        d1 = intt_negacyclic(cross + cross)
-        d2 = intt_negacyclic(c1.hadamard(c1))
+        d0, d1, d2 = intt_polys(
+            (c0.hadamard(c0), cross + cross, c1.hadamard(c1))
+        )
         self._record("CMult", ct, kind="square")
         result = Ciphertext(
             parts=(d0, d1, d2), scale=ct.scale * ct.scale, level=ct.level

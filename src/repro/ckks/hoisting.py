@@ -24,14 +24,12 @@ from __future__ import annotations
 
 from repro.errors import EvaluationError
 from repro.automorphism.galois import galois_element_for_rotation
-from repro.automorphism.mapping import apply_automorphism_eval
+from repro.automorphism.mapping import eval_permutation
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.keys import KeyChain
-from repro.ckks.keyswitch import lift_digit
+from repro.ckks.keyswitch import key_products, mod_up_ntt
 from repro.ckks.params import CkksParameters
-from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
-from repro.rns.basis_convert import mod_down
-from repro.rns.poly import Domain, RnsPolynomial
+from repro.rns.poly import RnsPolynomial
 
 
 class HoistedRotator:
@@ -63,14 +61,11 @@ class HoistedRotator:
         self.evaluator = evaluator
         level = ciphertext.level
         self._base_ctx = params.context_at_level(level)
-        self._ext_ctx = params.key_context_at_level(level)
         # The hoisted work: lift every digit of c_1 into the extended
-        # basis and transform it once.
-        c1 = ciphertext.parts[1]
-        self._digits_ntt = [
-            ntt_negacyclic(lift_digit(c1.data[j], self._ext_ctx))
-            for j in range(level + 1)
-        ]
+        # basis and transform it once, as one (digits, L', N) stack.
+        self._digits_ntt = mod_up_ntt(
+            ciphertext.parts[1], params.key_context_at_level(level)
+        )
 
     # ------------------------------------------------------------------
     def _coeff_automorphism(self, poly: RnsPolynomial, galois: int):
@@ -93,23 +88,11 @@ class HoistedRotator:
                 f"switch key rank {key.rank} below needed {level + 1}"
             )
 
-        acc_b: RnsPolynomial | None = None
-        acc_a: RnsPolynomial | None = None
-        for j, digit_ntt in enumerate(self._digits_ntt):
-            rotated = apply_automorphism_eval(digit_ntt, galois)
-            b_rows, a_rows = key.pair_rows(j, level, self.params)
-            key_b = RnsPolynomial(b_rows, self._ext_ctx, Domain.NTT)
-            key_a = RnsPolynomial(a_rows, self._ext_ctx, Domain.NTT)
-            term_b = rotated.hadamard(key_b)
-            term_a = rotated.hadamard(key_a)
-            acc_b = term_b if acc_b is None else acc_b + term_b
-            acc_a = term_a if acc_a is None else acc_a + term_a
-
-        delta0 = mod_down(
-            intt_negacyclic(acc_b), self._base_ctx, self.params.aux_context
-        )
-        delta1 = mod_down(
-            intt_negacyclic(acc_a), self._base_ctx, self.params.aux_context
+        # In the evaluation domain sigma_k permutes points, so one
+        # gather rotates every hoisted digit.
+        rotated = self._digits_ntt[..., eval_permutation(ct.degree, galois)]
+        delta0, delta1 = key_products(
+            rotated, key, self._base_ctx, self.params
         )
         rotated_c0 = self._coeff_automorphism(ct.parts[0], galois)
         return Ciphertext(

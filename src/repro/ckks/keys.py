@@ -99,7 +99,7 @@ class PublicKey:
     a: RnsPolynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchKey:
     """An RNS-gadget keyswitch key: one ``(b_j, a_j)`` pair per limb.
 
@@ -112,31 +112,30 @@ class SwitchKey:
 
     ``s_source`` is the key being switched *from*: ``s^2`` for
     relinearization, ``sigma_k(s)`` for rotation. All parts are stored
-    in the NTT domain, since every use multiplies them pointwise.
+    in the NTT domain, since every use multiplies them pointwise, as
+    one ``(2, rank, L_key, N)`` array: ``data[0, j]`` is ``b_j`` and
+    ``data[1, j]`` is ``a_j``, each over the full key basis.
     """
 
-    pairs: tuple[tuple[RnsPolynomial, RnsPolynomial], ...]
+    data: np.ndarray
     source_label: str
 
     @property
     def rank(self) -> int:
         """Number of gadget digits (= chain length at generation)."""
-        return len(self.pairs)
+        return self.data.shape[1]
 
-    def pair_rows(
-        self, j: int, level: int, params: CkksParameters
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residue rows of pair ``j`` for a level-``level`` keyswitch.
+    def rows(self, part: int, level: int, params: CkksParameters) -> np.ndarray:
+        """The key rows a level-``level`` keyswitch multiplies with.
 
-        Returns (b_rows, a_rows) covering chain limbs [0..level] plus
-        all aux limbs — the extended basis used at that level.
+        Returns the ``(level + 1, L', N)`` stack of part ``part`` (0 for
+        the ``b_j``, 1 for the ``a_j``) of the first ``level + 1`` pairs,
+        each restricted to chain limbs [0..level] plus all aux limbs —
+        the extended basis used at that level.
         """
         chain_len = len(params.chain_moduli)
-        keep = list(range(level + 1)) + list(
-            range(chain_len, chain_len + len(params.aux_moduli))
-        )
-        b, a = self.pairs[j]
-        return b.data[keep], a.data[keep]
+        keep = np.r_[0:level + 1, chain_len:self.data.shape[2]]
+        return self.data[part, :level + 1][:, keep]
 
 
 class KeyChain:
@@ -213,20 +212,22 @@ class KeyChain:
             RnsPolynomial.from_integers(source_integers, key_ctx)
         )
         p_product = params.aux_product
-        pairs = []
-        for j in range(len(params.chain_moduli)):
+        rank = len(params.chain_moduli)
+        data = np.empty(
+            (2, rank, key_ctx.level_count, params.degree), dtype=np.uint64
+        )
+        for j in range(rank):
             a = ntt_negacyclic(sample_uniform(key_ctx, params.degree, rng))
             e = ntt_negacyclic(sample_gaussian(key_ctx, params.degree, rng))
             b = (-(a.hadamard(s))) + e
             q_j = params.chain_moduli[j]
-            data = b.data.copy()
-            data[j] = mod_mul(
+            injected = mod_mul(
                 np.uint64(p_product % q_j), source_ntt.data[j], q_j
             )
-            data[j] = (data[j] + b.data[j]) % np.uint64(q_j)
-            b = RnsPolynomial(data, key_ctx, Domain.NTT)
-            pairs.append((b, a))
-        return SwitchKey(pairs=tuple(pairs), source_label=label)
+            data[0, j] = b.data
+            data[0, j, j] = (injected + b.data[j]) % np.uint64(q_j)
+            data[1, j] = a.data
+        return SwitchKey(data=data, source_label=label)
 
     def rotation_key(self, steps: int) -> SwitchKey:
         """Galois key for a rotation by ``steps`` slots (cached)."""

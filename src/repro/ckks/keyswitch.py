@@ -14,6 +14,12 @@ SwitchKey`:
 3. **ModDown** (Eq. 2): divide the accumulators by ``P`` and return to
    ``Q_level``.
 
+Like Poseidon's pipeline, which streams every limb of every digit
+through its lanes at once, each step is one kernel call over the whole
+``(digits, limbs, N)`` stack: one lift, one forward NTT, one product
+with the stacked ``b_j`` rows and one with the ``a_j`` rows, one
+reduction of both digit sums and one inverse NTT of both accumulators.
+
 The output pair ``(delta_0, delta_1)`` satisfies
 ``delta_0 + delta_1 * s ≈ d * s'`` with noise ``~ sum_j d_j e_j / P``.
 """
@@ -26,21 +32,61 @@ from repro import kernels
 from repro.errors import EvaluationError
 from repro.ckks.keys import SwitchKey
 from repro.ckks.params import CkksParameters
-from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
+from repro.ntt.negacyclic import intt_stack, ntt_stack
 from repro.obs import metrics
 from repro.rns.basis_convert import mod_down
 from repro.rns.context import RnsContext
 from repro.rns.poly import Domain, RnsPolynomial
 
 
-def lift_digit(digit_row: np.ndarray, target: RnsContext) -> RnsPolynomial:
-    """Exact lift of one RNS digit into every modulus of ``target``.
+def mod_up_ntt(d: RnsPolynomial, target: RnsContext) -> np.ndarray:
+    """Step 1 plus the digit NTTs: every digit of ``d`` lifted into
+    ``target`` and transformed.
 
-    The digit values are bounded by their source prime (< 2^31), so a
-    single remainder per target modulus reproduces the integer exactly.
+    The ``(D, N)`` digits become a ``(D, L', N)`` stack with one lift
+    and one transform call. The digit values are bounded by their
+    source primes (< 2^31), so a single remainder per target modulus
+    reproduces each integer exactly.
     """
-    data = kernels.get_backend().lift(digit_row, target.moduli)
-    return RnsPolynomial(data, target, Domain.COEFFICIENT)
+    lifted = kernels.get_backend().lift(d.data, target.moduli)
+    return ntt_stack(lifted, target.moduli)
+
+
+def key_products(
+    digits_ntt: np.ndarray,
+    key: SwitchKey,
+    base: RnsContext,
+    params: CkksParameters,
+) -> tuple[RnsPolynomial, RnsPolynomial]:
+    """Steps 2-3: digit-by-key products, digit sum, INTT and ModDown.
+
+    Args:
+        digits_ntt: ``(D, L', N)`` NTT-domain digits over the extended
+            basis of level ``D - 1``.
+        key: the switch key to multiply with.
+        base: the basis the result returns to.
+        params: parameter set (provides the aux basis).
+    """
+    level = digits_ntt.shape[0] - 1
+    ext_ctx = params.key_context_at_level(level)
+    moduli = ext_ctx.moduli
+    backend = kernels.get_backend()
+    # Each product is below q < 2^31, so the sum over D < q digits is
+    # exact in uint64 and below q^2: one Barrett reduction, not D.
+    sums = np.stack([
+        backend.mod_mul(digits_ntt, key.rows(part, level, params), moduli)
+        .sum(axis=0)
+        for part in (0, 1)  # the b_j rows, then the a_j rows
+    ])
+    coeff = intt_stack(backend.barrett_reduce(sums, moduli), moduli)
+    return tuple(
+        mod_down(
+            RnsPolynomial(part, ext_ctx, Domain.COEFFICIENT),
+            base,
+            params.aux_context,
+        )
+        for part in coeff
+    )
 
 
 def apply_switch_key(
@@ -67,7 +113,6 @@ def apply_switch_key(
         raise EvaluationError(
             f"switch key has rank {key.rank}, input needs {level + 1} digits"
         )
-    base_ctx = d.context
     ext_ctx = params.key_context_at_level(level)
 
     reg = metrics.active()
@@ -80,20 +125,4 @@ def apply_switch_key(
             (level + 3) * ext_ctx.level_count
         )
 
-    acc_b: RnsPolynomial | None = None
-    acc_a: RnsPolynomial | None = None
-    for j in range(level + 1):
-        digit_ntt = ntt_negacyclic(lift_digit(d.data[j], ext_ctx))
-        b_rows, a_rows = key.pair_rows(j, level, params)
-        key_b = RnsPolynomial(b_rows, ext_ctx, Domain.NTT)
-        key_a = RnsPolynomial(a_rows, ext_ctx, Domain.NTT)
-        term_b = digit_ntt.hadamard(key_b)
-        term_a = digit_ntt.hadamard(key_a)
-        acc_b = term_b if acc_b is None else acc_b + term_b
-        acc_a = term_a if acc_a is None else acc_a + term_a
-
-    prod_b = intt_negacyclic(acc_b)
-    prod_a = intt_negacyclic(acc_a)
-    delta0 = mod_down(prod_b, base_ctx, params.aux_context)
-    delta1 = mod_down(prod_a, base_ctx, params.aux_context)
-    return delta0, delta1
+    return key_products(mod_up_ntt(d, ext_ctx), key, d.context, params)

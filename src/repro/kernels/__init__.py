@@ -4,20 +4,26 @@ The functional plane routes every arithmetic hot path — whole-matrix
 NTT/INTT, element-wise modular ops, Barrett reduction, digit lifting
 and the RNSconv cascade — through a *kernel backend*:
 
-- ``reference`` — the original per-limb code paths (the oracle).
-- ``batched``   — vectorized across all L limbs at once, the software
-  analogue of Poseidon's limb-parallel lane pipeline.
 - ``numpy``     — fully vectorized uint64 butterflies (Shoup
   multiplication + lazy reduction, 128-bit Barrett for wide moduli);
-  the fastest backend, with no Python-level per-element loops.
+  the fastest backend and the default. Each butterfly stage runs once
+  over a whole ``(..., L, N)`` stack, so a keyswitch transforms all of
+  its digits in one call.
+- ``reference`` — the original per-limb code paths (the oracle).
+
+``batched`` names the former limb-vectorized backend, which the numpy
+engine superseded; the name stays registered as a deprecated alias that
+runs the numpy engine (:class:`~repro.kernels.numpy_backend.BatchedAlias`),
+so existing ``REPRO_KERNEL_BACKEND=batched`` settings and
+``--kernel-backend batched`` invocations keep working.
 
 Selection, in precedence order:
 
-1. explicit code: ``set_backend("numpy")`` or
-   ``with use_backend("numpy"): ...``;
+1. explicit code: ``set_backend("reference")`` or
+   ``with use_backend("reference"): ...``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable, read once at
    first use (``reset_selection()`` forgets the cached choice);
-3. the default, ``reference``.
+3. the default, ``numpy``.
 
 All backends are bit-identical on every operator (enforced by
 ``tests/kernels/test_differential.py``, the exhaustive big-int oracle
@@ -31,25 +37,20 @@ import os
 from contextlib import contextmanager
 
 from repro.errors import KernelError
-from repro.kernels.base import (
-    BatchedTwiddleTable,
-    KernelBackend,
-    get_batched_tables,
-)
-from repro.kernels.batched import BatchedBackend
-from repro.kernels.numpy_backend import NumpyBackend
+from repro.kernels.base import KernelBackend
+from repro.kernels.numpy_backend import BatchedAlias, NumpyBackend
 from repro.kernels.reference import ReferenceBackend
 
 #: Environment variable consulted on first use (see module docstring).
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Name used when neither code nor the environment chose a backend.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "numpy"
 
 _REGISTRY: dict[str, KernelBackend] = {
     ReferenceBackend.name: ReferenceBackend(),
-    BatchedBackend.name: BatchedBackend(),
     NumpyBackend.name: NumpyBackend(),
+    BatchedAlias.name: BatchedAlias(),
 }
 
 _active: KernelBackend | None = None
@@ -125,13 +126,10 @@ def use_backend(backend: str | KernelBackend | None):
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
-    "BatchedBackend",
-    "BatchedTwiddleTable",
     "KernelBackend",
     "NumpyBackend",
     "ReferenceBackend",
     "available_backends",
-    "get_batched_tables",
     "get_backend",
     "reset_selection",
     "resolve",

@@ -1,4 +1,4 @@
-"""Kernel backend interface and shared per-basis twiddle caches.
+"""Kernel backend interface and the shared per-basis helpers.
 
 A *kernel backend* owns the arithmetic hot paths of the functional
 plane: negacyclic NTT/INTT over whole ``(L, N)`` residue matrices and
@@ -9,16 +9,22 @@ through :func:`repro.kernels.get_backend` and never touches a limb
 loop directly, so swapping the execution strategy is a one-line (or
 one-env-var) decision.
 
-Three implementations ship:
+The NTT and element-wise operators also accept *stacks*: ``(..., L,
+N)`` arrays whose leading axes hold independent matrices over the same
+basis (every digit of a keyswitch, both parts of a ciphertext), with
+the ``L`` moduli broadcast over the leading axes. A stack is one kernel
+call, the way Poseidon streams every limb and digit through its lanes
+at once. :func:`over_leading_axes` gives a backend written for single
+matrices that capability by looping.
 
+Two implementations ship:
+
+- ``numpy`` (:mod:`repro.kernels.numpy_backend`), the default — fully
+  vectorized uint64 butterflies (Shoup multiplication, lazy reduction,
+  branch-free conditional subtracts) with a 128-bit Barrett path for
+  wide moduli; each butterfly stage runs once over a whole stack.
 - ``reference`` (:mod:`repro.kernels.reference`) — the original
-  scalar/per-limb code paths, one numpy call per limb row.
-- ``batched`` (:mod:`repro.kernels.batched`) — vectorized across all
-  ``L`` limbs at once with per-limb modulus broadcasting, mirroring
-  how Poseidon's 512-lane pipeline consumes contiguous limb rows.
-- ``numpy`` (:mod:`repro.kernels.numpy_backend`) — fully vectorized
-  uint64 butterflies (Shoup multiplication, lazy reduction, branch-free
-  conditional subtracts) with a 128-bit Barrett path for wide moduli.
+  scalar/per-limb code paths, one numpy call per limb row; the oracle.
 
 Backends are required to be **bit-identical**: every operator computes
 an exact modular result (residues reduced into ``[0, q_i)``), so the
@@ -29,67 +35,67 @@ output of any op is uniquely defined and the differential suite in
 from __future__ import annotations
 
 import abc
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from repro.errors import KernelError
-from repro.ntt.tables import get_twiddle_table
 from repro.obs import metrics
-from repro.utils.bitops import bit_reverse_permutation
 
 
-class BatchedTwiddleTable:
-    """Per-basis twiddle matrices: all limb tables stacked into (L, N).
+def moduli_key(moduli) -> tuple[int, ...]:
+    """``moduli`` as the int tuple the per-basis caches are keyed by.
 
-    The per-``(q, n)`` :class:`~repro.ntt.tables.TwiddleTable` objects
-    are shared with the reference kernels (same underlying cache), so
-    both backends literally read the same root-of-unity values.
+    An int tuple (``RnsContext.moduli``) passes through unchanged, so
+    the common call costs no rebuild and no duplicate cache keys.
     """
-
-    def __init__(self, moduli: tuple[int, ...], n: int):
-        tables = [get_twiddle_table(q, n) for q in moduli]
-        self.moduli = moduli
-        self.n = n
-        #: (L, 1) and (L, 1, 1) modulus columns for broadcasting.
-        self.q_col = np.array(moduli, dtype=np.uint64)[:, None]
-        self.q_cube = self.q_col[:, :, None]
-        self.psi_powers = np.stack([t.psi_powers for t in tables])
-        self.ipsi_powers = np.stack([t.ipsi_powers for t in tables])
-        self.psi_powers_bitrev = np.stack(
-            [t.psi_powers_bitrev for t in tables]
-        )
-        self.ipsi_powers_bitrev = np.stack(
-            [t.ipsi_powers_bitrev for t in tables]
-        )
-        self.omega_powers = np.stack([t.omega_powers for t in tables])
-        # omega has order n, so omega^{-e} = omega^{n-e}: the inverse
-        # power table is a pure re-indexing of the forward one.
-        inv_idx = (self.n - np.arange(self.n)) % self.n
-        self.inv_omega_powers = self.omega_powers[:, inv_idx]
-        self.inv_n_col = np.array(
-            [t.inv_n for t in tables], dtype=np.uint64
-        )[:, None]
-        self.bitrev = bit_reverse_permutation(n)
-
-
-@lru_cache(maxsize=256)
-def get_batched_tables(moduli: tuple[int, ...], n: int) -> BatchedTwiddleTable:
-    """Process-wide cache of stacked twiddle tables per (basis, degree)."""
-    return BatchedTwiddleTable(moduli, n)
+    if type(moduli) is tuple and type(moduli[0]) is int:
+        return moduli
+    return tuple(int(q) for q in moduli)
 
 
 def check_matrix(data: np.ndarray, moduli) -> np.ndarray:
-    """Validate an (L, N) residue matrix against its basis; return it."""
+    """Validate an (L, N) matrix or (..., L, N) stack against its basis."""
     data = np.asarray(data, dtype=np.uint64)
-    if data.ndim != 2:
+    if data.ndim < 2:
         raise KernelError(f"expected an (L, N) matrix, got shape {data.shape}")
-    if data.shape[0] != len(moduli):
+    if data.shape[-2] != len(moduli):
         raise KernelError(
-            f"matrix has {data.shape[0]} rows but basis has "
+            f"matrix has {data.shape[-2]} rows but basis has "
             f"{len(moduli)} moduli"
         )
     return data
+
+
+def over_leading_axes(*, arrays: int = 1, core_ndim: int = 2):
+    """Generic stack support for a kernel written for single matrices.
+
+    The decorated method takes ``arrays`` leading array arguments whose
+    last ``core_ndim`` axes are one kernel input (``(L, N)`` matrices,
+    or ``(N,)`` rows for :meth:`KernelBackend.lift`). Inputs with more
+    axes are broadcast against each other and the kernel runs once per
+    index of the leading axes; the results are stacked back. The loop
+    stays inside the public method, so a stack is still one call.
+    """
+
+    def decorate(kernel):
+        @wraps(kernel)
+        def stacked(self, *args, **kwargs):
+            ops = [np.asarray(x, dtype=np.uint64) for x in args[:arrays]]
+            if max(op.ndim for op in ops) <= core_ndim:
+                return kernel(self, *args, **kwargs)
+            ops = np.broadcast_arrays(*ops)
+            lead = ops[0].shape[:-core_ndim]
+            flat = [op.reshape((-1,) + op.shape[-core_ndim:]) for op in ops]
+            rest = args[arrays:]
+            out = np.stack([
+                kernel(self, *items, *rest, **kwargs) for items in zip(*flat)
+            ])
+            return out.reshape(lead + out.shape[1:])
+
+        return stacked
+
+    return decorate
 
 
 @lru_cache(maxsize=4096)
@@ -113,10 +119,12 @@ class KernelBackend(abc.ABC):
 
     All inputs are assumed reduced (row ``i`` in ``[0, moduli[i])``)
     and all outputs are returned reduced — the invariant that makes
-    backend outputs unique and therefore bit-comparable.
+    backend outputs unique and therefore bit-comparable. The transforms,
+    element-wise operators, :meth:`barrett_reduce` and :meth:`lift`
+    also take ``(..., L, N)`` stacks (module docstring).
     """
 
-    #: Registry/display name ("reference", "batched", "numpy").
+    #: Registry/display name ("reference", "numpy").
     name: str = "abstract"
 
     #: Widest modulus (in bits) this backend's arithmetic stays exact
@@ -129,11 +137,7 @@ class KernelBackend(abc.ABC):
     # ------------------------------------------------------------------
     def check_moduli(self, moduli) -> None:
         """Raise :class:`KernelError` if a modulus exceeds the backend cap."""
-        _validate_moduli(
-            self.name,
-            self.max_modulus_bits,
-            tuple(int(q) for q in moduli),
-        )
+        _validate_moduli(self.name, self.max_modulus_bits, moduli_key(moduli))
 
     def _check(self, data: np.ndarray, moduli) -> np.ndarray:
         """Combined matrix-shape + modulus-width validation."""
@@ -193,7 +197,7 @@ class KernelBackend(abc.ABC):
 
     @abc.abstractmethod
     def lift(self, row: np.ndarray, moduli) -> np.ndarray:
-        """Exact lift of one digit row into every modulus: (N,) -> (L, N)."""
+        """Exact lift of digit rows into every modulus: (..., N) -> (..., L, N)."""
 
     @abc.abstractmethod
     def basis_convert(

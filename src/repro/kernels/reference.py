@@ -4,8 +4,9 @@ This is the original execution strategy of the functional plane — a
 Python-level loop over limbs, each limb handled by the scalar kernels
 in :mod:`repro.ntt.radix2` / :mod:`repro.ntt.fusion` and the
 per-modulus operators in :mod:`repro.rns.modular`. It stays the
-correctness oracle the ``batched`` backend is differentially tested
-against.
+correctness oracle the other backends are differentially tested
+against, and takes ``(..., L, N)`` stacks through the generic
+:func:`~repro.kernels.base.over_leading_axes` loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.kernels.base import KernelBackend
+from repro.kernels.base import KernelBackend, over_leading_axes
 from repro.ntt.fusion import FusedNtt
 from repro.ntt.radix2 import intt_radix2, ntt_radix2
 from repro.ntt.tables import get_twiddle_table
@@ -39,6 +40,7 @@ class ReferenceBackend(KernelBackend):
     name = "reference"
 
     # ------------------------------------------------------------------
+    @over_leading_axes()
     def ntt(self, data, moduli, *, radix_log2: int = 1):
         data = self._check(data, moduli)
         n = data.shape[1]
@@ -55,6 +57,7 @@ class ReferenceBackend(KernelBackend):
             ]
         return np.stack(rows)
 
+    @over_leading_axes()
     def intt(self, data, moduli, *, radix_log2: int = 1):
         data = self._check(data, moduli)
         n = data.shape[1]
@@ -72,6 +75,7 @@ class ReferenceBackend(KernelBackend):
         return np.stack(rows)
 
     # ------------------------------------------------------------------
+    @over_leading_axes(arrays=2)
     def mod_add(self, a, b, moduli):
         a = self._check(a, moduli)
         self._count("elementwise", a.size)
@@ -79,6 +83,7 @@ class ReferenceBackend(KernelBackend):
             [mod_add(a[i], b[i], q) for i, q in enumerate(moduli)]
         )
 
+    @over_leading_axes(arrays=2)
     def mod_sub(self, a, b, moduli):
         a = self._check(a, moduli)
         self._count("elementwise", a.size)
@@ -86,11 +91,13 @@ class ReferenceBackend(KernelBackend):
             [mod_sub(a[i], b[i], q) for i, q in enumerate(moduli)]
         )
 
+    @over_leading_axes()
     def mod_neg(self, a, moduli):
         a = self._check(a, moduli)
         self._count("elementwise", a.size)
         return np.stack([mod_neg(a[i], q) for i, q in enumerate(moduli)])
 
+    @over_leading_axes(arrays=2)
     def mod_mul(self, a, b, moduli):
         a = self._check(a, moduli)
         self._count("elementwise", a.size)
@@ -98,6 +105,7 @@ class ReferenceBackend(KernelBackend):
             [mod_mul(a[i], b[i], q) for i, q in enumerate(moduli)]
         )
 
+    @over_leading_axes()
     def mod_scalar_mul(self, a, scalars, moduli):
         a = self._check(a, moduli)
         self._count("elementwise", a.size)
@@ -109,6 +117,7 @@ class ReferenceBackend(KernelBackend):
         )
 
     # ------------------------------------------------------------------
+    @over_leading_axes()
     def barrett_reduce(self, x, moduli):
         x = np.asarray(x, dtype=np.uint64)
         self.check_moduli(moduli)
@@ -120,6 +129,7 @@ class ReferenceBackend(KernelBackend):
             ]
         )
 
+    @over_leading_axes(core_ndim=1)
     def lift(self, row, moduli):
         row = np.asarray(row, dtype=np.uint64)
         self.check_moduli(moduli)

@@ -4,8 +4,9 @@ The ring is ``R_q = Z_q[x]/(x^n + 1)``, so polynomial products are
 *negacyclic* convolutions. :class:`NegacyclicTransformer` bundles the
 forward/inverse kernels (radix-2 by default, radix-2^k fused when the
 caller opts in) behind one object per (q, n) pair, and the module-level
-functions transform whole RNS matrices limb by limb — which is exactly
-how the 64 parallel NTT cores in Poseidon chew through limbs.
+functions transform whole RNS matrices — or stacks of them, in one
+kernel call — on the active kernel backend, the way the 64 parallel
+NTT cores in Poseidon chew through every limb at once.
 """
 
 from __future__ import annotations
@@ -90,6 +91,59 @@ def _count_poly_transforms(direction: str, limbs: int, degree: int) -> None:
         )
 
 
+def ntt_stack(
+    data: np.ndarray,
+    moduli,
+    *,
+    radix_log2: int = 1,
+    backend: str | kernels.KernelBackend | None = None,
+) -> np.ndarray:
+    """Forward NTT of every matrix of a ``(..., L, N)`` residue stack.
+
+    One call on the kernel backend (``None``: the active one), however
+    tall the stack; the ``ntt.*`` counters count one transform per limb
+    row.
+    """
+    _count_poly_transforms("forward", data.size // data.shape[-1], data.shape[-1])
+    return kernels.resolve(backend).ntt(data, moduli, radix_log2=radix_log2)
+
+
+def intt_stack(
+    data: np.ndarray,
+    moduli,
+    *,
+    radix_log2: int = 1,
+    backend: str | kernels.KernelBackend | None = None,
+) -> np.ndarray:
+    """Inverse of :func:`ntt_stack`, also one kernel call."""
+    _count_poly_transforms("inverse", data.size // data.shape[-1], data.shape[-1])
+    return kernels.resolve(backend).intt(data, moduli, radix_log2=radix_log2)
+
+
+def _stack_polys(polys, domain: Domain) -> np.ndarray:
+    context = polys[0].context
+    for poly in polys:
+        if poly.domain is not domain:
+            raise NTTError(f"expected {domain.value}-domain polynomials")
+        if poly.context != context:
+            raise NTTError("stacked transforms need one shared RNS basis")
+    return np.stack([poly.data for poly in polys])
+
+
+def ntt_polys(polys) -> tuple[RnsPolynomial, ...]:
+    """NTT coefficient-domain polynomials over one basis in one call."""
+    context = polys[0].context
+    data = ntt_stack(_stack_polys(polys, Domain.COEFFICIENT), context.moduli)
+    return tuple(RnsPolynomial(d, context, Domain.NTT) for d in data)
+
+
+def intt_polys(polys) -> tuple[RnsPolynomial, ...]:
+    """INTT NTT-domain polynomials over one basis in one call."""
+    context = polys[0].context
+    data = intt_stack(_stack_polys(polys, Domain.NTT), context.moduli)
+    return tuple(RnsPolynomial(d, context, Domain.COEFFICIENT) for d in data)
+
+
 def ntt_negacyclic(
     poly: RnsPolynomial,
     *,
@@ -98,15 +152,13 @@ def ntt_negacyclic(
 ) -> RnsPolynomial:
     """Transform an RNS polynomial to the NTT domain (all limbs).
 
-    Routed through the active kernel backend (``reference`` per-limb
-    loop or ``batched`` limb-parallel matrix kernel); ``backend``
-    overrides the process-wide selection for this call.
+    Routed through the active kernel backend; ``backend`` overrides the
+    process-wide selection for this call.
     """
     if poly.domain is not Domain.COEFFICIENT:
         raise NTTError("polynomial is already in the NTT domain")
-    _count_poly_transforms("forward", poly.level_count, poly.degree)
-    data = kernels.resolve(backend).ntt(
-        poly.data, poly.context.moduli, radix_log2=radix_log2
+    data = ntt_stack(
+        poly.data, poly.context.moduli, radix_log2=radix_log2, backend=backend
     )
     return RnsPolynomial(data, poly.context, Domain.NTT)
 
@@ -120,9 +172,8 @@ def intt_negacyclic(
     """Transform an RNS polynomial back to the coefficient domain."""
     if poly.domain is not Domain.NTT:
         raise NTTError("polynomial is already in the coefficient domain")
-    _count_poly_transforms("inverse", poly.level_count, poly.degree)
-    data = kernels.resolve(backend).intt(
-        poly.data, poly.context.moduli, radix_log2=radix_log2
+    data = intt_stack(
+        poly.data, poly.context.moduli, radix_log2=radix_log2, backend=backend
     )
     return RnsPolynomial(data, poly.context, Domain.COEFFICIENT)
 

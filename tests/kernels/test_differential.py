@@ -322,3 +322,81 @@ def test_wide_moduli_rejected_by_narrow_backends():
             continue
         with pytest.raises(KernelError, match="moduli up to"):
             kernels.resolve(name).ntt(data, WIDE_MODULI)
+
+
+# ----------------------------------------------------------------------
+# Stacks: (..., L, N) inputs equal one call per (L, N) matrix
+
+STACK_SHAPES = ((1,), (3,), (2, 2))
+
+
+def _stack_bases():
+    for degree in (16, 64, 256):  # 64 and 256 reach the lane-major tail
+        moduli = tuple(
+            find_ntt_primes(30, 2, degree) + find_ntt_primes(31, 1, degree)
+        )
+        yield pytest.param(moduli, degree, id=f"N{degree}")
+    yield pytest.param(WIDE_MODULI, WIDE_DEGREE, id="wide62")
+
+
+def _per_matrix(fn, *stacks):
+    """Oracle: ``fn`` called once per matrix of the leading axes."""
+    lead = stacks[0].shape[:-2]
+    flat = [s.reshape((-1,) + s.shape[-2:]) for s in stacks]
+    out = np.stack([fn(*mats) for mats in zip(*flat)])
+    return out.reshape(lead + out.shape[1:])
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+@pytest.mark.parametrize("moduli,degree", list(_stack_bases()))
+def test_stack_matches_per_matrix_calls(name, shape, moduli, degree):
+    backend = kernels.resolve(name)
+    if max(moduli).bit_length() > backend.max_modulus_bits:
+        pytest.skip(f"{name} has no wide-moduli path")
+    count = int(np.prod(shape))
+    a = np.stack(
+        [_matrix(moduli, degree, seed=71 + i) for i in range(count)]
+    ).reshape(shape + (len(moduli), degree))
+    b = np.stack(
+        [_matrix(moduli, degree, seed=89 + i) for i in range(count)]
+    ).reshape(a.shape)
+    for op in ("ntt", "intt", "barrett_reduce"):
+        fn = getattr(backend, op)
+        np.testing.assert_array_equal(
+            fn(a, moduli), _per_matrix(lambda m: fn(m, moduli), a)
+        )
+    for op in ("mod_add", "mod_mul"):
+        fn = getattr(backend, op)
+        np.testing.assert_array_equal(
+            fn(a, b, moduli),
+            _per_matrix(lambda x, y: fn(x, y, moduli), a, b),
+        )
+        # One matrix broadcast against the whole stack.
+        single = b.reshape((-1,) + b.shape[-2:])[0]
+        np.testing.assert_array_equal(
+            fn(a, single, moduli),
+            _per_matrix(lambda x: fn(x, single, moduli), a),
+        )
+    rows = a[..., 0, :]  # (..., N) digit rows
+    np.testing.assert_array_equal(
+        backend.lift(rows, moduli),
+        _per_matrix(
+            lambda r: backend.lift(r[0], moduli), rows[..., None, :]
+        ),
+    )
+
+
+def test_stack_height_reuses_the_basis_plan():
+    """Plans are keyed by (moduli, n): taller stacks add no plan."""
+    from repro.kernels import numpy_backend
+
+    backend = kernels.resolve("numpy")
+    moduli = tuple(find_ntt_primes(30, 3, 64))
+    data = _matrix(moduli, 64, seed=97)
+    backend.intt(backend.ntt(data, moduli), moduli)
+    misses = numpy_backend._narrow_plan.cache_info().misses
+    for height in (2, 5):
+        stack = np.stack([data] * height)
+        backend.intt(backend.ntt(stack, moduli), moduli)
+    assert numpy_backend._narrow_plan.cache_info().misses == misses

@@ -4,8 +4,8 @@ Inputs are kept intentionally small (degree <= 64, <= 4 limbs) so each
 hypothesis example runs in microseconds; the kernels are shape-generic,
 so any bug at paper scale that is not purely a size-threshold bug also
 exists at these sizes. The 31-bit pool matters: products of 31-bit
-residues are large enough to force the batched fused kernel off its
-deferred-reduction fast path.
+residues are large enough that deferred reduction in a vectorized
+kernel would overflow uint64.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ class TestFlagScoping:
         ["trace", "--benchmark", "lr", "--validate", "-o", "t.json"],
         ["metrics", "--benchmark", "lr", "-o", "m.json", "--lanes", "256"],
         ["serve", "--arrival-rate", "50", "--max-batch", "4"],
-        ["table1", "--kernel-backend", "batched"],
+        ["table1", "--kernel-backend", "reference"],
     ])
     def test_documented_invocations_parse(self, argv):
         args = build_parser().parse_args(argv)
@@ -165,7 +165,7 @@ class TestKernelBackendScoping:
         ran afterwards (tests, notebooks embedding the CLI). The
         override must be scoped to the dispatched command."""
         before = kernels.get_backend()
-        assert main(["table1", "--kernel-backend", "batched"]) == 0
+        assert main(["table1", "--kernel-backend", "reference"]) == 0
         assert kernels.get_backend() is before
         capsys.readouterr()
 
@@ -173,7 +173,7 @@ class TestKernelBackendScoping:
         before = kernels.get_backend()
         with pytest.raises(SystemExit):
             main(["trace", "--benchmark", "nope",
-                  "--kernel-backend", "batched"])
+                  "--kernel-backend", "reference"])
         assert kernels.get_backend() is before
         capsys.readouterr()
 
