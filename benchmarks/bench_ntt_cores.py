@@ -11,7 +11,7 @@ every registered :mod:`repro.sim.ntt_cores` variant is priced on
 - **closed-system** Table VI workloads — full-benchmark makespans per
   variant at the paper's HBM bandwidth and a half-bandwidth point;
 - **open-system** serving load — the keyswitch request mix through
-  :class:`repro.serve.ServingSimulator` per variant.
+  :class:`repro.serve.ClusterSimulator` (one instance) per variant.
 
 Gates (exit non-zero on any failure):
 
@@ -21,7 +21,7 @@ Gates (exit non-zero on any failure):
   move a single bit), and re-running a point must be byte-identical.
 - **validity** — every variant's closed-system schedule passes every
   engine invariant (``repro.sim.validate``), and every variant's
-  served schedule passes ``ServingResult.validate``.
+  served schedule passes ``ClusterResult.validate``.
 - **registry** — at least four variants registered, default is
   ``poseidon``.
 - **winner map** — ``poseidon`` wins the paper's own operating point
@@ -50,8 +50,9 @@ if _SRC not in sys.path:
 from repro.compiler.program import compile_trace  # noqa: E402
 from repro.serve import (  # noqa: E402
     BatchPolicy,
+    ClusterPolicy,
+    ClusterSimulator,
     PoissonArrivals,
-    ServingSimulator,
 )
 from repro.sim.config import HardwareConfig  # noqa: E402
 from repro.sim.cores import CoreModel  # noqa: E402
@@ -191,9 +192,10 @@ def open_system_sweep(smoke: bool) -> list[dict]:
     count = SERVE_COUNT_SMOKE if smoke else SERVE_COUNT_FULL
     points = []
     for v in available_ntt_cores():
-        sim = ServingSimulator(
+        sim = ClusterSimulator(
             config=HardwareConfig().with_ntt_core(v),
-            policy=BatchPolicy(max_batch_size=SERVE_BATCH),
+            policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+            batch_policy=BatchPolicy(max_batch_size=SERVE_BATCH),
         )
         result = sim.run(
             "keyswitch",

@@ -42,8 +42,9 @@ if _SRC not in sys.path:
 
 from repro.serve import (  # noqa: E402  (path bootstrap must come first)
     BatchPolicy,
+    ClusterPolicy,
+    ClusterSimulator,
     PoissonArrivals,
-    ServingSimulator,
 )
 
 WORKLOAD = "keyswitch"
@@ -60,8 +61,9 @@ BATCH_SIZES = (1, 8)
 
 
 def sweep_point(rate: float, max_batch: int, count: int) -> dict:
-    sim = ServingSimulator(
-        policy=BatchPolicy(max_batch_size=max_batch)
+    sim = ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+        batch_policy=BatchPolicy(max_batch_size=max_batch),
     )
     result = sim.run(
         WORKLOAD,

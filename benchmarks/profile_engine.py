@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Profile the event-driven schedule engine under a large serve trace.
 
-Drives :class:`repro.serve.ServingSimulator` over a heavy Poisson
-stream (thousands of requests, each expanding to a multi-task operator
-program) under ``cProfile``, then prints the hottest engine functions
-by cumulative and total time. This is the harness the engine hot-path
-work is measured with — run it before and after a scheduler change:
+Drives :class:`repro.serve.ClusterSimulator` (one warm instance, no
+key movement) over a heavy Poisson stream (thousands of requests, each
+expanding to a multi-task operator program) under ``cProfile``, then
+prints the hottest engine functions by cumulative and total time.
+This is the harness the engine hot-path work is measured with — run it
+before and after a scheduler change:
 
     make profile
     # or directly:
@@ -34,9 +35,15 @@ if _SRC not in sys.path:
 
 
 def _build_run(requests: int, rate: float, seed: int):
-    from repro.serve import PoissonArrivals, ServingSimulator
+    from repro.serve import (
+        ClusterPolicy,
+        ClusterSimulator,
+        PoissonArrivals,
+    )
 
-    sim = ServingSimulator()
+    sim = ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0)
+    )
     arrivals = PoissonArrivals(rate=rate, count=requests, seed=seed)
 
     def run():

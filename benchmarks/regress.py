@@ -234,12 +234,15 @@ def _microntt_fused_seconds(backend_name: str) -> float:
 def _serve_run(rate: float, max_batch: int):
     from repro.serve import (
         BatchPolicy,
+        ClusterPolicy,
+        ClusterSimulator,
         PoissonArrivals,
-        ServingSimulator,
     )
 
-    sim = ServingSimulator(
-        policy=BatchPolicy(max_batch_size=max_batch)
+    # One warm engine with no key movement: the single-engine serve.
+    sim = ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+        batch_policy=BatchPolicy(max_batch_size=max_batch),
     )
     result = sim.run(
         "keyswitch",

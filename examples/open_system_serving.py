@@ -16,15 +16,22 @@ what dynamic batching does to the latency distribution:
 Run:  python examples/open_system_serving.py
 """
 
-from repro.serve import BatchPolicy, PoissonArrivals, ServingSimulator
+from repro.serve import (
+    BatchPolicy,
+    ClusterPolicy,
+    ClusterSimulator,
+    PoissonArrivals,
+)
 
 REQUESTS = 64
 SEED = 7
 
 
 def serve(rate: float, max_batch: int):
-    sim = ServingSimulator(
-        policy=BatchPolicy(max_batch_size=max_batch)
+    # One warm accelerator, no key movement.
+    sim = ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+        batch_policy=BatchPolicy(max_batch_size=max_batch),
     )
     arrivals = PoissonArrivals(rate=rate, count=REQUESTS, seed=SEED)
     return sim.run("keyswitch", arrivals, seed=SEED)

@@ -299,7 +299,6 @@ def cmd_serve(args) -> None:
         collecting,
         write_cluster_trace,
         write_metrics_json,
-        write_serving_trace,
     )
     from repro.serve import (
         AutoscalerPolicy,
@@ -312,7 +311,6 @@ def cmd_serve(args) -> None:
         PoissonArrivals,
         ResiliencePolicy,
         RetryPolicy,
-        ServingSimulator,
         Straggler,
         TenantPopulation,
         TraceArrivals,
@@ -328,17 +326,10 @@ def cmd_serve(args) -> None:
             )
         return parts
 
-    faulted = bool(args.crash or args.straggler or args.hbm_derate)
     resilient = (
         args.deadline is not None
         or args.retry_max is not None
         or args.detect_delay > 0
-    )
-    fleet = (
-        args.instances > 1
-        or args.autoscale_max is not None
-        or faulted
-        or resilient
     )
     try:
         events = []
@@ -389,20 +380,17 @@ def cmd_serve(args) -> None:
             max_queue_depth=args.max_queue_depth,
             max_inflight_batches=args.max_inflight,
         )
-        if fleet:
-            autoscaler = None
-            if args.autoscale_max is not None:
-                autoscaler = AutoscalerPolicy(
-                    max_instances=args.autoscale_max
-                )
-            cluster_policy = ClusterPolicy(
-                instances=args.instances,
-                router=args.router,
-                key_cache_capacity=args.key_cache,
-                key_upload_bytes=args.key_bytes,
-                max_tenant_share=args.max_tenant_share,
-                autoscaler=autoscaler,
-            )
+        autoscaler = None
+        if args.autoscale_max is not None:
+            autoscaler = AutoscalerPolicy(max_instances=args.autoscale_max)
+        cluster_policy = ClusterPolicy(
+            instances=args.instances,
+            router=args.router,
+            key_cache_capacity=args.key_cache,
+            key_upload_bytes=args.key_bytes,
+            max_tenant_share=args.max_tenant_share,
+            autoscaler=autoscaler,
+        )
         population = TenantPopulation(
             tenants=args.tenants,
             key_sets=args.key_sets,
@@ -426,37 +414,23 @@ def cmd_serve(args) -> None:
     config = _config_from_args(args)
     with collecting() as registry:
         try:
-            if fleet:
-                result = ClusterSimulator(
-                    config, cluster_policy, policy
-                ).run(
-                    args.workload, arrivals,
-                    seed=args.seed, population=population,
-                    passes=args.passes,
-                    faults=plan, resilience=resilience,
-                )
-            else:
-                result = ServingSimulator(config, policy).run(
-                    args.workload, arrivals, seed=args.seed,
-                    passes=args.passes,
-                )
+            result = ClusterSimulator(config, cluster_policy, policy).run(
+                args.workload, arrivals,
+                seed=args.seed, population=population,
+                passes=args.passes,
+                faults=plan, resilience=resilience,
+            )
         except KeyError as exc:
             raise SystemExit(f"error: {exc.args[0]}") from None
         except WorkloadError as exc:
             raise SystemExit(f"error: {exc}") from None
     if args.validate:
         result.validate()
-        if fleet:
-            print(
-                "schedule invariants OK per instance "
-                f"({len({r.index for r in result.instances})} instances, "
-                f"{result.admitted} requests)"
-            )
-        else:
-            print(
-                f"schedule invariants OK ({result.admitted} requests, "
-                f"{len(result.program.tasks)} tasks)"
-            )
+        print(
+            "schedule invariants OK per instance "
+            f"({len({r.index for r in result.instances})} instances, "
+            f"{result.admitted} requests)"
+        )
 
     s = result.summary()
     print(f"--- serving: {args.workload} | {arrival_desc} ---")
@@ -466,33 +440,32 @@ def cmd_serve(args) -> None:
         f"depth_bound={policy.max_queue_depth} "
         f"inflight<={policy.max_inflight_batches}"
     )
-    if fleet:
+    print(
+        f"fleet: {s['instances']} instances router={s['router']} "
+        f"key_cache={cluster_policy.key_cache_capacity} "
+        f"tenants={population.tenants} "
+        f"key_sets={population.key_sets} skew={population.skew}"
+    )
+    print(
+        f"keys: {s['key_hits']} hits / {s['key_misses']} misses "
+        f"(rate {s['key_hit_rate']:.2f}), "
+        f"{s['key_upload_bytes'] / 1e9:.2f} GB uploaded, "
+        f"{s['scale_events']} scale events"
+    )
+    if plan is not None or resilience is not None:
         print(
-            f"fleet: {s['instances']} instances router={s['router']} "
-            f"key_cache={cluster_policy.key_cache_capacity} "
-            f"tenants={population.tenants} "
-            f"key_sets={population.key_sets} skew={population.skew}"
+            f"faults: {s['crashes']} crashes, {s['restarts']} "
+            f"restarts, {s['lost_events']} lost submissions, "
+            f"{s['retries']} retries"
         )
         print(
-            f"keys: {s['key_hits']} hits / {s['key_misses']} misses "
-            f"(rate {s['key_hit_rate']:.2f}), "
-            f"{s['key_upload_bytes'] / 1e9:.2f} GB uploaded, "
-            f"{s['scale_events']} scale events"
+            f"outcomes: {s['requests_completed']} completed, "
+            f"{s['requests_rejected']} rejected, "
+            f"{s['requests_abandoned']} abandoned, "
+            f"{s['requests_exhausted']} exhausted; "
+            f"goodput {s['goodput_rps']:.2f} req/s, "
+            f"SLO violations {s['slo_violation_rate']:.3f}"
         )
-        if plan is not None or resilience is not None:
-            print(
-                f"faults: {s['crashes']} crashes, {s['restarts']} "
-                f"restarts, {s['lost_events']} lost submissions, "
-                f"{s['retries']} retries"
-            )
-            print(
-                f"outcomes: {s['requests_completed']} completed, "
-                f"{s['requests_rejected']} rejected, "
-                f"{s['requests_abandoned']} abandoned, "
-                f"{s['requests_exhausted']} exhausted; "
-                f"goodput {s['goodput_rps']:.2f} req/s, "
-                f"SLO violations {s['slo_violation_rate']:.3f}"
-            )
     print(
         f"requests: {s['requests_arrived']} arrived, "
         f"{s['requests_admitted']} admitted, "
@@ -535,14 +508,9 @@ def cmd_serve(args) -> None:
         )
         print(f"wrote {args.output}: {len(doc['metrics'])} metrics")
     if args.trace_output is not None:
-        if fleet:
-            doc = write_cluster_trace(
-                result, args.trace_output, label=args.workload
-            )
-        else:
-            doc = write_serving_trace(
-                result, args.trace_output, label=args.workload
-            )
+        doc = write_cluster_trace(
+            result, args.trace_output, label=args.workload
+        )
         print(
             f"wrote {args.trace_output}: {len(doc['traceEvents'])} "
             "events; open at https://ui.perfetto.dev"
@@ -689,8 +657,8 @@ def _add_serve_options(sub) -> None:
     )
     sub.add_argument(
         "--instances", type=int, default=1,
-        help="accelerator instances behind the router; >1 switches to "
-             "the fleet simulator (default 1: single warm engine)",
+        help="accelerator instances active from t=0 behind the router "
+             "(default 1)",
     )
     sub.add_argument(
         "--router", default="key-affinity",
@@ -787,8 +755,8 @@ def _add_serve_options(sub) -> None:
     )
     sub.add_argument(
         "--validate", action="store_true",
-        help="check the merged served schedule against every engine "
-             "invariant before reporting (per instance in fleet mode)",
+        help="check each instance's served schedule against every "
+             "engine invariant before reporting",
     )
     sub.add_argument(
         "-o", "--output", default=None,
@@ -797,8 +765,8 @@ def _add_serve_options(sub) -> None:
     )
     sub.add_argument(
         "--trace", dest="trace_output", default=None,
-        help="write a Chrome trace with the serving track "
-             "(request spans + queue depth) to this path",
+        help="write a Chrome trace with per-instance core, HBM and "
+             "request tracks plus the fleet queue depth to this path",
     )
 
 

@@ -40,12 +40,9 @@ from repro.obs.trace_export import (
     chrome_trace_events,
     cluster_chrome_trace,
     cluster_trace_events,
-    serving_chrome_trace,
-    serving_trace_events,
     write_chrome_trace,
     write_cluster_trace,
     write_metrics_json,
-    write_serving_trace,
 )
 
 __all__ = [
@@ -66,10 +63,7 @@ __all__ = [
     "load_baseline",
     "make_baseline",
     "save_baseline",
-    "serving_chrome_trace",
-    "serving_trace_events",
     "write_chrome_trace",
     "write_cluster_trace",
     "write_metrics_json",
-    "write_serving_trace",
 ]

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # avoid an import cycle with the sim layer
     from repro.sim.engine import SimulationResult
 
 #: Stable thread ids per track, in paper core order; HBM and the
-#: serving-layer request track after the cores.
+#: per-instance request track of served runs after the cores.
 TRACK_IDS = {"MA": 1, "MM": 2, "NTT": 3, "Automorphism": 4, "HBM": 9,
              "Requests": 10}
 
@@ -163,83 +163,6 @@ def write_chrome_trace(
 ) -> dict:
     """Write the Chrome-trace JSON to ``path``; returns the document."""
     doc = chrome_trace(result, label=label)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    return doc
-
-
-def serving_trace_events(serving) -> list[dict]:
-    """The serving track of a served run (see :mod:`repro.serve`).
-
-    Emits async (``ph: "b"``/``"e"``) spans — one per admitted request,
-    admission to finish, so overlapping requests stack visually — plus
-    a ``queue_depth`` counter track and an instant marker per rejected
-    arrival. Duck-types over :class:`repro.serve.ServingResult` (this
-    module must not import the serve layer at module scope).
-    """
-    tid = TRACK_IDS["Requests"]
-    events: list[dict] = [
-        {
-            "ph": "M", "pid": 0, "tid": tid,
-            "name": "thread_name",
-            "args": {"name": "Requests"},
-        }
-    ]
-    for rec in serving.records:
-        if rec.rejected:
-            events.append({
-                "ph": "i", "pid": 0, "tid": tid, "s": "t",
-                "ts": rec.arrival_seconds * _SECONDS_TO_US,
-                "name": f"req{rec.request_id} rejected",
-                "cat": "request",
-            })
-            continue
-        if rec.admit_seconds is None or rec.finish_seconds is None:
-            continue
-        name = f"req{rec.request_id}:{rec.job}"
-        common = {
-            "pid": 0, "tid": tid, "cat": "request",
-            "id": rec.request_id, "name": name,
-        }
-        events.append({
-            "ph": "b",
-            "ts": rec.admit_seconds * _SECONDS_TO_US,
-            "args": {
-                "arrival_seconds": rec.arrival_seconds,
-                "queue_wait_seconds": rec.queue_wait_seconds,
-                "batch_index": rec.batch_index,
-            },
-            **common,
-        })
-        events.append({
-            "ph": "e",
-            "ts": rec.finish_seconds * _SECONDS_TO_US,
-            "args": {"latency_seconds": rec.latency_seconds},
-            **common,
-        })
-    for t, depth in serving.queue_depth_series:
-        events.append({
-            "ph": "C", "pid": 0,
-            "ts": t * _SECONDS_TO_US,
-            "name": "queue_depth",
-            "args": {"depth": depth},
-        })
-    return events
-
-
-def serving_chrome_trace(serving, *, label: str = "") -> dict:
-    """Chrome-trace document for a served run: core/HBM tracks from the
-    underlying engine schedule plus the serving track."""
-    doc = chrome_trace(serving.sim, label=label)
-    doc["traceEvents"].extend(serving_trace_events(serving))
-    doc["otherData"]["serving"] = serving.summary()
-    return doc
-
-
-def write_serving_trace(serving, path, *, label: str = "") -> dict:
-    """Write a served run's Chrome-trace JSON; returns the document."""
-    doc = serving_chrome_trace(serving, label=label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

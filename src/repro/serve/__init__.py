@@ -12,22 +12,22 @@ The subsystem's parts:
   (Poisson and trace replay);
 - :mod:`repro.serve.requests` — per-request FHE job types (light
   operator mixes plus the paper benchmarks), compiled once and
-  submitted per request;
+  submitted per request, and the per-request lifecycle records;
 - :mod:`repro.serve.batcher` — the dynamic batching / admission-control
   policy (max batch size, max queue delay, FIFO vs shortest-job-first,
   queue-depth backpressure);
-- :mod:`repro.serve.simulator` — the open-system loop itself: arrivals
-  feed the batcher, admitted batches are submitted onto a warm
-  :class:`repro.sim.engine.ScheduleEngine`, and per-request records
-  yield p50/p95/p99 latency, throughput and a queue-depth time series;
 - :mod:`repro.serve.router` — fleet dispatch policies (round-robin,
   least-queue, shortest-expected-job, load-bounded key-affinity) and
   the per-instance LRU :class:`KeyCache` of resident
   rotation/relinearization key sets;
-- :mod:`repro.serve.cluster` — the routed *fleet*: N warm engines on
-  one master clock, modeled key-set uploads on cache misses,
-  per-tenant fair admission, and optional autoscaling against the
-  queue-depth knee;
+- :mod:`repro.serve.cluster` — the open-system loop itself: arrivals
+  are routed to N warm :class:`repro.sim.engine.ScheduleEngine`
+  instances on one master clock, feed each instance's batcher, and
+  admitted batches are submitted onto its engine; per-request records
+  yield p50/p95/p99 latency, throughput and a queue-depth time series.
+  It also models key-set uploads on cache misses, per-tenant fair
+  admission, and optional autoscaling against the queue-depth knee.
+  One instance with ``key_upload_bytes=0`` is the single warm engine;
 - :mod:`repro.serve.faults` — seeded, deterministic fault injection
   and recovery: instance crashes (with cold-cache restarts),
   straggler and HBM-degradation windows, client-side deadlines and
@@ -35,10 +35,10 @@ The subsystem's parts:
   gate (``benchmarks/bench_fault_recovery.py``) enforces in CI.
 
 Results export through the existing :mod:`repro.obs` pipeline: a
-``serve.*`` (or ``cluster.*``) metrics namespace and request-level
-Chrome-trace tracks. The ``serve`` CLI subcommand (with
-``--instances``) and the ``benchmarks/bench_serving_sweep.py`` /
-``bench_fleet_scaling.py`` sweeps build on this.
+``cluster.*`` metrics namespace and request-level Chrome-trace tracks.
+The ``serve`` CLI subcommand and the
+``benchmarks/bench_serving_sweep.py`` / ``bench_fleet_scaling.py``
+sweeps build on this.
 """
 
 from repro.serve.arrivals import PoissonArrivals, TraceArrivals
@@ -64,6 +64,7 @@ from repro.serve.faults import (
 from repro.serve.requests import (
     KEY_SET_BYTES,
     REQUEST_MIXES,
+    RequestRecord,
     RequestType,
     TenantPopulation,
     request_type,
@@ -73,11 +74,6 @@ from repro.serve.router import (
     KeyCache,
     ROUTER_POLICIES,
     resolve_router,
-)
-from repro.serve.simulator import (
-    RequestRecord,
-    ServingResult,
-    ServingSimulator,
 )
 
 __all__ = [
@@ -102,8 +98,6 @@ __all__ = [
     "ResiliencePolicy",
     "RetryPolicy",
     "ServiceEstimator",
-    "ServingResult",
-    "ServingSimulator",
     "Straggler",
     "TenantPopulation",
     "TraceArrivals",

@@ -1,4 +1,4 @@
-"""Dynamic batching and admission control for the serving simulator.
+"""Dynamic batching and admission control for the serve loop.
 
 The batcher sits between the arrival process and the warm engine. It
 holds the request queue, rejects arrivals when the queue is full
@@ -14,9 +14,10 @@ requests it contains:
   service time first; ties broken by arrival order so the schedule
   stays deterministic).
 
-The batcher is pure policy — it never touches the engine. The serving
-loop (:mod:`repro.serve.simulator`) asks it what to do at each decision
-instant, which keeps the policy unit-testable without a simulation.
+The batcher is pure policy — it never touches the engine. The serve
+loop (:mod:`repro.serve.cluster`) keeps one batcher per instance and
+asks it what to do at each decision instant, which keeps the policy
+unit-testable without a simulation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.simulator import Request
+    from repro.serve.requests import Request
 
 #: Accepted queue-ordering policies.
 ORDERS = ("fifo", "sjf")

@@ -1,9 +1,9 @@
-"""Fleet-scale serving: N Poseidon instances behind a request router.
+"""The open-system serving loop: N Poseidon instances behind a router.
 
-One :class:`~repro.serve.simulator.ServingSimulator` drives a single
-warm engine; a production deployment runs *many* accelerator instances
-behind a router. This module is that fleet, still fully deterministic
-per seed:
+:class:`ClusterSimulator` is the repo's one serve loop, fully
+deterministic per seed. A single warm engine is the one-instance case:
+``ClusterPolicy(instances=1, key_upload_bytes=0)`` serves every request
+on one engine and charges no key movement. In general:
 
 - each instance is an independent warm
   :class:`~repro.sim.engine.ScheduleEngine` with its own
@@ -32,7 +32,9 @@ per seed:
 All instance engines advance on one master clock: every decision
 instant is the earliest of the next arrival, any instance's batcher
 deadline, and any instance's next engine event; every engine is then
-advanced to that instant. Each instance's schedule is validated
+advanced to that instant. Admission reacts to completions exactly as a
+real scheduler's would, while every choice remains a pure function of
+the seed. Each instance's schedule is validated
 independently via ``engine.as_program()`` +
 :func:`repro.sim.validate.validate_schedule`.
 
@@ -59,17 +61,13 @@ from repro.serve.faults import (
 )
 from repro.serve.requests import (
     KEY_SET_BYTES,
+    Request,
+    RequestRecord,
     RequestType,
     TenantPopulation,
     resolve_request_mix,
 )
 from repro.serve.router import KeyCache, InstanceView, resolve_router
-from repro.serve.simulator import (
-    Request,
-    RequestRecord,
-    RequestStats,
-    _Batch,
-)
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import ScheduleEngine, SimulationResult
 from repro.sim.tasks import OperatorKind, OperatorTask
@@ -215,6 +213,13 @@ def _with_key_upload(
 
 
 @dataclass
+class _Batch:
+    """Members of one admitted batch still in flight."""
+
+    remaining: int
+
+
+@dataclass
 class _Instance:
     """Mutable state of one fleet member during a run.
 
@@ -286,8 +291,13 @@ class InstanceReport:
         return self.sim.total_seconds
 
 
-class ClusterResult(RequestStats):
-    """Aggregate outcome of one routed fleet run."""
+class ClusterResult:
+    """Aggregate outcome of one served run.
+
+    Per-request records yield latency percentiles, throughput and the
+    fleet-wide queue-depth time series; per-instance reports carry each
+    engine's schedule (``instances[0].sim`` on a one-instance run).
+    """
 
     def __init__(
         self,
@@ -317,12 +327,62 @@ class ClusterResult(RequestStats):
         #: up at the end of the run.
         self.availability = availability or {}
 
+    # -- request accounting -------------------------------------------
     @property
     def makespan_seconds(self) -> float:
         """Latest task end across the fleet (shared master clock)."""
         return max(
             (r.sim.total_seconds for r in self.instances), default=0.0
         )
+
+    @property
+    def arrived(self) -> int:
+        return len(self.records)
+
+    @property
+    def rejected(self) -> int:
+        return sum(1 for r in self.records if r.rejected)
+
+    @property
+    def admitted(self) -> int:
+        return self.arrived - self.rejected
+
+    @property
+    def completed(self) -> int:
+        return sum(
+            1 for r in self.records if r.finish_seconds is not None
+        )
+
+    @property
+    def max_queue_depth(self) -> int:
+        return max(
+            (depth for _, depth in self.queue_depth_series), default=0
+        )
+
+    @property
+    def throughput_rps(self) -> float:
+        """Completed requests per simulated second."""
+        if self.makespan_seconds <= 0:
+            return 0.0
+        return self.completed / self.makespan_seconds
+
+    def latencies(self) -> list[float]:
+        """Sorted completed-request latencies."""
+        return sorted(
+            r.latency_seconds
+            for r in self.records
+            if r.latency_seconds is not None
+        )
+
+    def latency_percentile(self, q: float) -> float:
+        """Exact nearest-rank latency quantile over completed requests."""
+        if not 0.0 <= q <= 1.0:
+            raise ParameterError(f"quantile must be in [0, 1], got {q}")
+        ordered = self.latencies()
+        if not ordered:
+            return 0.0
+        idx = min(len(ordered) - 1, max(0, int(q * len(ordered))))
+        return ordered[idx]
 
     @property
     def key_hits(self) -> int:
@@ -574,12 +634,8 @@ class ClusterSimulator:
         ):
             launched += 1
             members = inst.batcher.take_batch(now)
-            batch = _Batch(
-                index=inst.batches,
-                admit_seconds=now,
-                size=len(members),
-                remaining=len(members),
-            )
+            batch_index = inst.batches
+            batch = _Batch(remaining=len(members))
             inst.batches += 1
             inst.inflight += 1
             for req in members:
@@ -604,10 +660,8 @@ class ClusterSimulator:
                     hbm_scale=hbm_scale,
                 )
                 rec.admit_seconds = now
-                rec.batch_index = batch.index
+                rec.batch_index = batch_index
                 rec.key_hit = hit
-                rec._base = sub.base
-                rec._count = sub.count
                 inst.inflight_estimate += req.service_estimate
                 inst.by_submission[sub.index] = (rec, batch, req)
                 inst.source_ops.extend(req.job.program.source_ops)
@@ -680,13 +734,19 @@ class ClusterSimulator:
         """Serve one arrival stream across the fleet to completion.
 
         Args:
-            workloads: request-mix spec or pre-resolved job tuple, as
-                in :meth:`repro.serve.simulator.ServingSimulator.run`.
-            arrivals: an arrival process with a ``times()`` method.
-            seed: drives the job-type and tenant/key-set draws (the
-                same seed and stream as the single-instance simulator,
-                so job sequences match across fleet sizes) plus the
-                retry-jitter stream.
+            workloads: a request-mix spec (``"keyswitch"``,
+                ``"keyswitch,streaming"``, a paper-benchmark alias) or
+                pre-resolved :class:`RequestType` tuple. With several
+                job types, each arrival draws its type from a seeded
+                RNG.
+            arrivals: an arrival process
+                (:class:`~repro.serve.arrivals.PoissonArrivals`,
+                :class:`~repro.serve.arrivals.TraceArrivals`, or any
+                object with a ``times()`` method).
+            seed: drives the job-type and tenant/key-set draws (job
+                sequences match across fleet sizes) plus the
+                retry-jitter stream; arrival times carry their own
+                seed.
             population: tenant/key-set identity of the arrivals;
                 defaults to one tenant with one key set.
             passes: compiler pass pipeline applied to each job type's
@@ -700,8 +760,7 @@ class ClusterSimulator:
             resilience: optional client-side
                 :class:`~repro.serve.faults.ResiliencePolicy`
                 (deadlines, retries, failure-detection delay). With
-                neither argument the run is byte-identical to the
-                fault-unaware simulator.
+                neither argument no fault or deadline path runs.
         """
         if isinstance(workloads, str):
             jobs = resolve_request_mix(workloads, passes=passes)
@@ -810,8 +869,6 @@ class ClusterSimulator:
             rec.admit_seconds = None
             rec.batch_index = None
             rec.key_hit = None
-            rec._base = -1
-            rec._count = 0
             if (
                 rec.deadline_seconds is not None
                 and t >= rec.deadline_seconds
@@ -1099,7 +1156,12 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     @staticmethod
     def _record_metrics(reg, result: ClusterResult) -> None:
-        """Publish the fleet run under the ``cluster.*`` namespace."""
+        """Publish the served run under the ``cluster.*`` namespace.
+
+        The engines' ``sim.*`` view is not republished: it has no one
+        meaning across N instances. Each instance's schedule stays in
+        ``InstanceReport.sim`` and in its cluster-trace tracks.
+        """
         reg.gauge("cluster.instances").set(
             len({r.index for r in result.instances})
         )
@@ -1107,6 +1169,9 @@ class ClusterSimulator:
         reg.counter("cluster.requests.admitted").inc(result.admitted)
         reg.counter("cluster.requests.rejected").inc(result.rejected)
         reg.counter("cluster.requests.completed").inc(result.completed)
+        reg.counter("cluster.batches").inc(
+            sum(r.batches for r in result.instances)
+        )
         reg.counter("cluster.key_cache.hits").inc(result.key_hits)
         reg.counter("cluster.key_cache.misses").inc(result.key_misses)
         reg.counter("cluster.key_upload.bytes").inc(result.upload_bytes)
@@ -1131,9 +1196,15 @@ class ClusterSimulator:
                 result.latency_percentile(q)
             )
         latency_h = reg.histogram("cluster.request.latency_seconds")
+        wait_h = reg.histogram("cluster.request.queue_wait_seconds")
         for rec in result.records:
             if rec.latency_seconds is not None:
                 latency_h.observe(rec.latency_seconds)
+            if rec.queue_wait_seconds is not None:
+                wait_h.observe(rec.queue_wait_seconds)
+        depth_h = reg.histogram("cluster.queue.depth")
+        for _, depth in result.queue_depth_series:
+            depth_h.observe(float(depth))
         for report in result.instances:
             prefix = f"cluster.instance.{report.index}"
             reg.counter(f"{prefix}.admitted").inc(report.admitted)

@@ -1,16 +1,14 @@
 """Shared service-time estimation for the serving layer.
 
-Both the single-instance :class:`~repro.serve.simulator.ServingSimulator`
-and the fleet :class:`~repro.serve.cluster.ClusterSimulator` need a
-serial-execution estimate per request: it is the SJF batching key and
-the shortest-expected-job / key-affinity routing backlog unit. The two
-simulators used to carry copy-pasted private caches keyed on
-``job.name`` — which silently went stale when one simulator object was
-reused across ``run()`` calls with different ``passes=`` pipelines (the
-pipeline rewrites the job's task list without renaming the job). This
-module is the single implementation, and the cache is keyed on the
-*resolved program*, so two jobs with the same name but different
-compiled task lists never share an estimate.
+The serve loop (:class:`~repro.serve.cluster.ClusterSimulator`) needs
+a serial-execution estimate per request: it is the SJF batching key
+and the shortest-expected-job / key-affinity routing backlog unit. A
+cache keyed on ``job.name`` would silently go stale when one simulator
+object is reused across ``run()`` calls with different ``passes=``
+pipelines (the pipeline rewrites the job's task list without renaming
+the job), so the cache here is keyed on the *resolved program*: two
+jobs with the same name but different compiled task lists never share
+an estimate.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-request FHE job types for the serving simulator.
+"""Per-request FHE job types and request lifecycle records.
 
 A *request* is one tenant's unit of work: a short serial chain of FHE
 basic operations (ops within one request depend on each other — it is
@@ -13,6 +13,9 @@ accepted as a (heavyweight) request body via its usual aliases.
 Programs are compiled once per job type and resubmitted per request —
 requests of one type share the compiled task DAG, offset into the warm
 engine's index space at admission.
+
+:class:`Request` is one arrival of a job type and
+:class:`RequestRecord` its lifecycle through the served system.
 """
 
 from __future__ import annotations
@@ -107,6 +110,106 @@ class RequestType:
     @property
     def task_count(self) -> int:
         return len(self.program.tasks)
+
+
+@dataclass(frozen=True)
+class Request:
+    """One arrived request: a job type at an arrival instant.
+
+    ``tenant`` and ``key_set`` identify who sent the request and which
+    rotation/relinearization key bundle its keyswitches stream; the
+    router and fair admission (:mod:`repro.serve.cluster`) act on them.
+
+    ``deadline_seconds`` is the *absolute* instant the client abandons
+    the request (original arrival + the resilience policy's relative
+    deadline; ``None`` = no deadline) and ``attempt`` counts delivery
+    tries — a retry after a crash loss is a new :class:`Request` with
+    the same ``request_id`` and deadline but ``attempt + 1``. Fault-free
+    runs keep both defaults.
+    """
+
+    request_id: int
+    job: RequestType
+    arrival_seconds: float
+    service_estimate: float
+    tenant: str = "tenant0"
+    key_set: int = 0
+    deadline_seconds: float | None = None
+    attempt: int = 1
+
+
+@dataclass
+class RequestRecord:
+    """Lifecycle of one request through the served system.
+
+    ``admit/start/finish`` stay ``None`` for rejected requests.
+    ``start_seconds`` is when the request's first task actually
+    occupied a core (a batch admits all members at once, but the
+    engine dispatches them as resources free up).
+
+    ``instance`` is the Poseidon instance that served — or, for
+    rejected requests, was routed — the request; ``tenant``/``key_set``
+    its identity; ``key_hit`` whether the key set was resident at
+    admission (``None`` until admitted); and ``reject_reason``
+    ``"queue-full"`` backpressure vs ``"tenant-share"`` fair admission.
+
+    Faulted runs additionally track resilience state:
+    ``deadline_seconds`` (absolute client deadline), ``lost`` (how many
+    times a crash destroyed this request in queue or in flight),
+    ``retries`` (re-deliveries actually scheduled) and ``outcome`` —
+    exactly one of :data:`repro.serve.faults.OUTCOMES` once the run
+    ends (the conservation invariant). On a loss, ``admit/batch``
+    state is reset; ``latency_seconds`` stays anchored at the
+    *original* arrival, so failover and cold key re-uploads show up in
+    the client-observed tail.
+    """
+
+    request_id: int
+    job: str
+    arrival_seconds: float
+    admit_seconds: float | None = None
+    start_seconds: float | None = None
+    finish_seconds: float | None = None
+    batch_index: int | None = None
+    rejected: bool = False
+    tenant: str = "tenant0"
+    key_set: int = 0
+    instance: int = 0
+    key_hit: bool | None = None
+    reject_reason: str | None = None
+    deadline_seconds: float | None = None
+    lost: int = 0
+    retries: int = 0
+    outcome: str | None = None
+
+    @property
+    def latency_seconds(self) -> float | None:
+        """Arrival-to-finish time (the number a client experiences)."""
+        if self.finish_seconds is None:
+            return None
+        return self.finish_seconds - self.arrival_seconds
+
+    @property
+    def queue_wait_seconds(self) -> float | None:
+        """Arrival-to-admission time spent in the batcher's queue."""
+        if self.admit_seconds is None:
+            return None
+        return self.admit_seconds - self.arrival_seconds
+
+    @property
+    def slo_met(self) -> bool | None:
+        """Did the request complete within its deadline?
+
+        ``None`` for requests that never completed; ``True`` for
+        completions without a deadline. A completion past its deadline
+        is the "served too late" case — counted completed but an SLO
+        violation, excluded from goodput.
+        """
+        if self.finish_seconds is None:
+            return None
+        if self.deadline_seconds is None:
+            return True
+        return self.finish_seconds <= self.deadline_seconds
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bit manipulation, prime generation, checks."""
+"""Shared low-level utilities: bit manipulation and prime generation."""
 
 from repro.utils.bitops import (
     bit_length,

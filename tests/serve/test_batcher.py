@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.serve import BatchPolicy, DynamicBatcher
-from repro.serve.simulator import Request
+from repro.serve.requests import Request
 
 
 def _req(rid, arrival, estimate=1.0):

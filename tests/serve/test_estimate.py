@@ -72,17 +72,19 @@ class TestEstimator:
 
 class TestSimulatorIntegration:
     def test_simulator_reuse_across_pipelines_not_stale(self):
-        # One ServingSimulator object, two runs differing only in
+        # One simulator object, two runs differing only in
         # passes=: the SJF/backlog estimates must track the program
         # actually being served, so the summaries must differ.
         from repro.serve import (
             BatchPolicy,
+            ClusterPolicy,
+            ClusterSimulator,
             PoissonArrivals,
-            ServingSimulator,
         )
 
-        sim = ServingSimulator(
-            policy=BatchPolicy(max_batch_size=4, order="sjf")
+        sim = ClusterSimulator(
+            policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+            batch_policy=BatchPolicy(max_batch_size=4, order="sjf"),
         )
 
         def run(passes):

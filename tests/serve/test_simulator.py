@@ -1,9 +1,10 @@
-"""End-to-end serving-loop behavior on the warm engine.
+"""End-to-end serve-loop behavior on one warm engine.
 
-Rates here are calibrated to the keyswitch mix on the default config:
-one request is ~3 ms of serial work, so batch=1 saturates near
-~330 req/s. "Light load" tests sit far below that; "overload" tests
-far above it.
+Every case runs :class:`ClusterSimulator` with one instance and no
+key-upload bytes — the single-engine serve. Rates here are calibrated
+to the keyswitch mix on the default config: one request is ~3 ms of
+serial work, so batch=1 saturates near ~330 req/s. "Light load" tests
+sit far below that; "overload" tests far above it.
 """
 
 import pytest
@@ -12,17 +13,25 @@ from repro.errors import ParameterError
 from repro.obs import collecting
 from repro.serve import (
     BatchPolicy,
+    ClusterPolicy,
+    ClusterSimulator,
     PoissonArrivals,
-    ServingSimulator,
     TraceArrivals,
     request_type,
 )
 
 
+def single_engine(policy=None):
+    return ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+        batch_policy=policy,
+    )
+
+
 def serve(
     *, rate=200.0, count=24, seed=0, workload="keyswitch", policy=None
 ):
-    sim = ServingSimulator(policy=policy)
+    sim = single_engine(policy)
     return sim.run(
         workload,
         PoissonArrivals(rate=rate, count=count, seed=seed),
@@ -80,12 +89,12 @@ class TestRequestLifecycle:
             result.latency_percentile(1.5)
 
     def test_empty_workload_rejected(self):
-        sim = ServingSimulator()
+        sim = single_engine()
         with pytest.raises(ParameterError, match="job type"):
             sim.run((), PoissonArrivals(rate=10.0, count=1))
 
     def test_unknown_workload_raises_keyerror(self):
-        sim = ServingSimulator()
+        sim = single_engine()
         with pytest.raises(KeyError, match="unknown request workload"):
             sim.run("nope", PoissonArrivals(rate=10.0, count=1))
 
@@ -95,7 +104,7 @@ class TestBackpressure:
         # All arrivals land at (nearly) the same instant while a batch
         # of one is in flight: the queue bound must reject the excess.
         policy = BatchPolicy(max_batch_size=1, max_queue_depth=2)
-        sim = ServingSimulator(policy=policy)
+        sim = single_engine(policy)
         arrivals = TraceArrivals([0.0, 1e-5, 2e-5, 3e-5, 4e-5, 5e-5])
         result = sim.run("keyswitch", arrivals, seed=0)
         assert result.rejected > 0
@@ -178,8 +187,10 @@ class TestBatchingPolicies:
         shallow = serve(rate=900.0, count=32,
                         policy=BatchPolicy(max_batch_size=4,
                                            max_inflight_batches=1))
-        assert deep.batches >= shallow.batches or \
-            deep.throughput_rps >= shallow.throughput_rps
+        assert (
+            deep.summary()["batches"] >= shallow.summary()["batches"]
+            or deep.throughput_rps >= shallow.throughput_rps
+        )
         deep.validate()
 
 
@@ -197,14 +208,19 @@ class TestMetricsPublishing:
         with collecting() as reg:
             result = serve(count=16)
         snap = reg.snapshot()
-        assert snap["serve.requests.arrived"] == 16
-        assert snap["serve.requests.completed"] == 16
-        assert snap["serve.throughput_rps"] == result.throughput_rps
-        assert snap["serve.latency.p99_seconds"] == \
+        assert snap["cluster.requests.arrived"] == 16
+        assert snap["cluster.requests.completed"] == 16
+        assert snap["cluster.batches"] == result.summary()["batches"]
+        assert snap["cluster.throughput_rps"] == result.throughput_rps
+        assert snap["cluster.latency.p99_seconds"] == \
             result.latency_percentile(0.99)
-        assert snap["serve.request.latency_seconds"]["count"] == 16
-        # The engine-level view rides along in the same context.
-        assert snap["sim.tasks"] == len(result.sim.task_records)
+        assert snap["cluster.request.latency_seconds"]["count"] == 16
+        assert snap["cluster.request.queue_wait_seconds"]["count"] == 16
+        assert snap["cluster.queue.depth"]["count"] == \
+            len(result.queue_depth_series)
+        # The engine's run-level sim.* view stays per instance.
+        assert "sim.tasks" not in snap
+        assert result.instances[0].sim.task_records
 
     def test_no_collection_no_cost(self):
         result = serve(count=4)
@@ -216,9 +232,9 @@ class TestHeavyRequestTypes:
         # A single LR request served open-system: same task count as
         # the closed-system compile, full lifecycle accounting.
         job = request_type("lr")
-        sim = ServingSimulator(policy=BatchPolicy(max_batch_size=1))
+        sim = single_engine(BatchPolicy(max_batch_size=1))
         result = sim.run((job,), TraceArrivals([0.0]), seed=0)
         assert result.completed == 1
-        assert len(result.program.tasks) == job.task_count
+        assert len(result.instances[0].program.tasks) == job.task_count
         assert result.records[0].latency_seconds > 0
         result.validate()

@@ -233,7 +233,7 @@ class TestServe:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         doc = json.loads(paths[0].read_text())
         assert doc["meta"]["requests_completed"] == 24
-        assert doc["metrics"]["serve.requests.completed"] == 24
+        assert doc["metrics"]["cluster.requests.completed"] == 24
 
     def test_serve_trace_has_request_track(self, tmp_path, capsys):
         out = tmp_path / "serve_trace.json"
@@ -245,7 +245,20 @@ class TestServe:
         doc = json.loads(out.read_text())
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert "request" in cats
-        assert doc["otherData"]["serving"]["requests_completed"] == 8
+        assert doc["otherData"]["cluster"]["requests_completed"] == 8
+
+    def test_single_instance_honours_fleet_flags(self, capsys):
+        # With key caching off, every admitted request uploads its key
+        # set, even on one instance.
+        assert main([
+            "serve", "--arrival-rate", "600", "--requests", "24",
+            "--key-cache", "0", "--tenants", "4", "--key-sets", "6",
+            "--router", "least-queue",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fleet: 1 instances router=least-queue" in out
+        assert "24 admitted" in out
+        assert "keys: 0 hits / 24 misses" in out
 
     def test_serve_unknown_workload_errors(self):
         with pytest.raises(SystemExit, match="unknown request workload"):
