@@ -71,12 +71,6 @@ FIG10_SMOKE = (2, 3)
 MICRONTT_DEGREE = 4096
 MICRONTT_LIMBS = 8
 MICRONTT_BACKENDS = ("reference", "numpy")
-#: Fused radix-2^k microbench (the paper's radix-8 configuration).
-#: Runs after the radix-2 entries, so the vectorized backend hits it
-#: with its per-(moduli, n) plan cache warm and the entry times the
-#: execution strategy, not a cold-start table build.
-MICRONTT_FUSED_RADIX = 3
-MICRONTT_FUSED_BACKENDS = ("numpy",)
 
 #: Open-system serving workloads. The saturation entries gate the knee
 #: of the load sweep (see bench_serving_sweep.py) as *seconds per
@@ -204,29 +198,6 @@ def _microntt_seconds(backend_name: str) -> float:
     if not np.array_equal(back, data):
         raise AssertionError(
             f"{backend_name} backend NTT/INTT roundtrip mismatch"
-        )
-    return 0.0
-
-
-def _microntt_fused_seconds(backend_name: str) -> float:
-    """Forward+inverse fused radix-2^k NTT wall time on one backend.
-
-    Same contract as :func:`_microntt_seconds`: simulated time is 0.0,
-    the wall_seconds the runner wraps around this thunk is the
-    measurement. The numpy backend's acceptance speedup is read off
-    this entry at the paper's fused radix.
-    """
-    import numpy as np
-
-    from repro import kernels
-
-    data, moduli = _microntt_data()
-    backend = kernels.resolve(backend_name)
-    fwd = backend.ntt(data, moduli, radix_log2=MICRONTT_FUSED_RADIX)
-    back = backend.intt(fwd, moduli, radix_log2=MICRONTT_FUSED_RADIX)
-    if not np.array_equal(back, data):
-        raise AssertionError(
-            f"{backend_name} fused NTT/INTT roundtrip mismatch"
         )
     return 0.0
 
@@ -383,12 +354,6 @@ def build_suite(smoke: bool) -> list[tuple[str, object]]:
         suite.append(
             (f"microntt/N{MICRONTT_DEGREE}-L{MICRONTT_LIMBS}/{b}",
              lambda b=b: _microntt_seconds(b))
-        )
-    for b in MICRONTT_FUSED_BACKENDS:
-        suite.append(
-            (f"microntt-fused/N{MICRONTT_DEGREE}-L{MICRONTT_LIMBS}"
-             f"-k{MICRONTT_FUSED_RADIX}/{b}",
-             lambda b=b: _microntt_fused_seconds(b))
         )
     return suite
 

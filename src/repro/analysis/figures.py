@@ -12,11 +12,7 @@ from repro.sim.config import HardwareConfig
 from repro.sim.energy import EnergyModel
 from repro.sim.engine import PoseidonSimulator
 from repro.sim.resources import ResourceModel
-from repro.sim.stats import (
-    benchmark_op_shares,
-    benchmark_operator_shares,
-    operator_core_shares,
-)
+from repro.sim.stats import benchmark_operator_shares, operator_core_shares
 from repro.sim.tasks import OperatorKind, OperatorTask
 from repro.workloads import PAPER_BENCHMARKS
 
@@ -65,7 +61,7 @@ def fig8_benchmark_op_breakdown(
     totals = {}
     for bench, builder in PAPER_BENCHMARKS.items():
         result = sim.run(compile_trace(builder()))
-        series[bench] = benchmark_op_shares(result)
+        series[bench] = result.op_share()
         totals[bench] = result.total_seconds * 1e3
     return {"series": series, "total_ms": totals}
 

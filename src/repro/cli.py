@@ -216,12 +216,13 @@ def cmd_design(args) -> None:
     print(f"best (time): {best.label}")
 
 
-def _simulate_benchmark(args):
+def _simulate_benchmark(args, *, validate: bool = False):
     """Shared setup for the observability commands.
 
     Returns ``(name, result, registry)`` — the canonical benchmark
     name, the simulation result, and the metrics registry that was
-    active while it ran.
+    active while it ran. The schedule is validated when ``validate``
+    or ``--validate`` asks for it.
     """
     from repro.compiler.program import compile_trace
     from repro.errors import WorkloadError
@@ -245,7 +246,7 @@ def _simulate_benchmark(args):
         except WorkloadError as exc:
             raise SystemExit(f"error: {exc}") from None
         result = simulator.run(program)
-    if getattr(args, "validate", False):
+    if validate or getattr(args, "validate", False):
         from repro.sim.validate import validate_schedule
 
         validate_schedule(
@@ -258,10 +259,8 @@ def _simulate_benchmark(args):
 def cmd_trace(args) -> None:
     """Export one benchmark run as Chrome-trace/Perfetto JSON."""
     from repro.obs import write_chrome_trace
-    from repro.sim.timeline import Timeline
 
-    name, result, _ = _simulate_benchmark(args)
-    Timeline(result).verify_no_overlap()
+    name, result, _ = _simulate_benchmark(args, validate=True)
     out = args.output or "trace.json"
     doc = write_chrome_trace(result, out, label=name)
     print(
@@ -590,7 +589,7 @@ def _add_obs_options(sub) -> None:
         "--validate", action="store_true",
         help="check schedule invariants (no overlap per core instance, "
              "HBM channel budget, dependency order, time conservation) "
-             "on the simulated run before exporting",
+             "on the simulated run before exporting (trace always does)",
     )
     sub.add_argument(
         "--passes", default=None,

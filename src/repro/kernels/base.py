@@ -158,11 +158,11 @@ class KernelBackend(abc.ABC):
     # NTT / INTT over all limbs
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def ntt(self, data: np.ndarray, moduli, *, radix_log2: int = 1) -> np.ndarray:
+    def ntt(self, data: np.ndarray, moduli) -> np.ndarray:
         """Forward negacyclic NTT of every limb row (natural order)."""
 
     @abc.abstractmethod
-    def intt(self, data: np.ndarray, moduli, *, radix_log2: int = 1) -> np.ndarray:
+    def intt(self, data: np.ndarray, moduli) -> np.ndarray:
         """Inverse negacyclic NTT of every limb row (natural order)."""
 
     # ------------------------------------------------------------------

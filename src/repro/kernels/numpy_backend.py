@@ -28,12 +28,6 @@ Wide moduli (32..62 bits) take an eagerly-reduced path built on a
 vectorized 64x64 -> 128-bit multiply (32-bit limb split) and a
 full-width Barrett reduction (``mu = floor(2^2k / q)`` with per-modulus
 shift columns) so intermediates never overflow ``uint64``.
-
-Fused radix-2^k requests (``radix_log2 >= 2``) execute on the same
-vectorized engine: stage fusion is an execution strategy, not a
-different transform, and this engine already performs one full-width
-pass per stage with no per-group temporaries, so outputs are
-bit-identical to the reference backend's fused path by construction.
 """
 
 from __future__ import annotations
@@ -436,8 +430,7 @@ class NumpyBackend(KernelBackend):
     max_modulus_bits = 62
 
     # ------------------------------------------------------------------
-    def ntt(self, data, moduli, *, radix_log2: int = 1):
-        del radix_log2  # fusion-agnostic engine; see module docstring
+    def ntt(self, data, moduli):
         data = self._check(data, moduli)
         self._count("ntt", data.size)
         key = moduli_key(moduli)
@@ -446,8 +439,7 @@ class NumpyBackend(KernelBackend):
             return _run_fwd(data.copy(), _narrow_plan(key, n))
         return _run_fwd_wide(data.copy(), _wide_plan(key, n))
 
-    def intt(self, data, moduli, *, radix_log2: int = 1):
-        del radix_log2  # fusion-agnostic engine; see module docstring
+    def intt(self, data, moduli):
         data = self._check(data, moduli)
         self._count("intt", data.size)
         key = moduli_key(moduli)

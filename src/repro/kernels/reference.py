@@ -1,22 +1,19 @@
 """The ``reference`` kernel backend: one numpy call per limb row.
 
 This is the original execution strategy of the functional plane — a
-Python-level loop over limbs, each limb handled by the scalar kernels
-in :mod:`repro.ntt.radix2` / :mod:`repro.ntt.fusion` and the
-per-modulus operators in :mod:`repro.rns.modular`. It stays the
-correctness oracle the other backends are differentially tested
-against, and takes ``(..., L, N)`` stacks through the generic
-:func:`~repro.kernels.base.over_leading_axes` loop.
+Python-level loop over limbs, each limb handled by the radix-2 kernels
+in :mod:`repro.ntt.radix2` and the per-modulus operators in
+:mod:`repro.rns.modular`. It stays the correctness oracle the numpy
+backend is differentially tested against, and takes ``(..., L, N)``
+stacks through the generic :func:`~repro.kernels.base.over_leading_axes`
+loop.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.kernels.base import KernelBackend, over_leading_axes
-from repro.ntt.fusion import FusedNtt
 from repro.ntt.radix2 import intt_radix2, ntt_radix2
 from repro.ntt.tables import get_twiddle_table
 from repro.rns.barrett import GLOBAL_SBT_BANK
@@ -29,11 +26,6 @@ from repro.rns.modular import (
 )
 
 
-@lru_cache(maxsize=512)
-def _fused(q: int, n: int, radix_log2: int) -> FusedNtt:
-    return FusedNtt(q, n, radix_log2)
-
-
 class ReferenceBackend(KernelBackend):
     """Scalar/per-limb kernels — unchanged semantics, limb-at-a-time."""
 
@@ -41,38 +33,24 @@ class ReferenceBackend(KernelBackend):
 
     # ------------------------------------------------------------------
     @over_leading_axes()
-    def ntt(self, data, moduli, *, radix_log2: int = 1):
+    def ntt(self, data, moduli):
         data = self._check(data, moduli)
         n = data.shape[1]
         self._count("ntt", data.size)
-        if radix_log2 >= 2:
-            rows = [
-                _fused(q, n, radix_log2).forward(data[i])
-                for i, q in enumerate(moduli)
-            ]
-        else:
-            rows = [
-                ntt_radix2(data[i], get_twiddle_table(q, n))
-                for i, q in enumerate(moduli)
-            ]
-        return np.stack(rows)
+        return np.stack([
+            ntt_radix2(data[i], get_twiddle_table(q, n))
+            for i, q in enumerate(moduli)
+        ])
 
     @over_leading_axes()
-    def intt(self, data, moduli, *, radix_log2: int = 1):
+    def intt(self, data, moduli):
         data = self._check(data, moduli)
         n = data.shape[1]
         self._count("intt", data.size)
-        if radix_log2 >= 2:
-            rows = [
-                _fused(q, n, radix_log2).inverse(data[i])
-                for i, q in enumerate(moduli)
-            ]
-        else:
-            rows = [
-                intt_radix2(data[i], get_twiddle_table(q, n))
-                for i, q in enumerate(moduli)
-            ]
-        return np.stack(rows)
+        return np.stack([
+            intt_radix2(data[i], get_twiddle_table(q, n))
+            for i, q in enumerate(moduli)
+        ])
 
     # ------------------------------------------------------------------
     @over_leading_axes(arrays=2)

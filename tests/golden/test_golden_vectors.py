@@ -1,5 +1,8 @@
 """Check every kernel backend against the big-int golden vectors.
 
+The paper's fused radix-2^k NTT (:class:`~repro.ntt.fusion.FusedNtt`)
+is checked against the same NTT vectors.
+
 The JSON files next to this test were produced by ``regenerate.py``
 using only unbounded Python integer arithmetic; if a kernel change
 makes these fail, the kernel is wrong — regenerating the vectors to
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.ntt.fusion import FusedNtt
 from repro.ntt.tables import get_twiddle_table
 from repro.rns.basis_convert import mod_down, mod_up
 from repro.rns.context import RnsContext
@@ -76,12 +80,29 @@ def test_ntt_matches_golden(backend_name, case):
     backend = kernels.resolve(backend_name)
     data = np.array([case["input"]], dtype=np.uint64)
     expected = np.array([case["expected"]], dtype=np.uint64)
-    for radix_log2 in (1, 2, 3):
-        got = backend.ntt(data, (q,), radix_log2=radix_log2)
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(
-            backend.intt(got, (q,), radix_log2=radix_log2), data
-        )
+    got = backend.ntt(data, (q,))
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(backend.intt(got, (q,)), data)
+
+
+#: FusedNtt's uint64 twist is exact for limb-width (<= 31-bit) moduli.
+NARROW_NTT_CASES = [c for c in NTT_DOC["cases"] if int(c["q"]).bit_length() <= 31]
+
+
+@pytest.mark.parametrize("radix_log2", (2, 3))
+@pytest.mark.parametrize(
+    "case", NARROW_NTT_CASES,
+    ids=[f"q{c['q']}-n{c['n']}" for c in NARROW_NTT_CASES],
+)
+def test_fused_ntt_matches_golden(case, radix_log2):
+    """The paper's fused radix-2^k kernel hits the same golden vectors."""
+    fused = FusedNtt(case["q"], case["n"], radix_log2)
+    data = np.array(case["input"], dtype=np.uint64)
+    got = fused.forward(data)
+    np.testing.assert_array_equal(
+        got, np.array(case["expected"], dtype=np.uint64)
+    )
+    np.testing.assert_array_equal(fused.inverse(got), data)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -1,14 +1,15 @@
-"""Unit tests for the negacyclic transform façade and tables."""
+"""Unit tests for the negacyclic RNS transforms and twiddle tables."""
 
 import numpy as np
 import pytest
 
 from repro.errors import NTTError
+from repro.ntt.fusion import FusedNtt
 from repro.ntt.negacyclic import (
-    NegacyclicTransformer,
-    get_transformer,
     intt_negacyclic,
+    intt_stack,
     ntt_negacyclic,
+    ntt_stack,
     poly_multiply,
 )
 from repro.ntt.tables import TwiddleTable, get_twiddle_table
@@ -51,26 +52,26 @@ class TestTwiddleTable:
 
 
 class TestTransformer:
+    """One-limb transforms through the stack path."""
+
     def test_roundtrip_radix2(self):
-        tr = NegacyclicTransformer(Q, N)
-        x = np.random.default_rng(0).integers(0, Q, N, dtype=np.uint64)
-        assert np.array_equal(tr.inverse(tr.forward(x)), x)
+        x = np.random.default_rng(0).integers(0, Q, (1, N), dtype=np.uint64)
+        assert np.array_equal(intt_stack(ntt_stack(x, (Q,)), (Q,)), x)
 
     def test_fused_variant_identical(self):
-        t1 = NegacyclicTransformer(Q, N, radix_log2=1)
-        t3 = NegacyclicTransformer(Q, N, radix_log2=3)
-        x = np.random.default_rng(1).integers(0, Q, N, dtype=np.uint64)
-        assert np.array_equal(t1.forward(x), t3.forward(x))
-        assert np.array_equal(t1.inverse(x), t3.inverse(x))
+        fused = FusedNtt(Q, N, radix_log2=3)
+        x = np.random.default_rng(1).integers(0, Q, (1, N), dtype=np.uint64)
+        assert np.array_equal(fused.forward(x[0]), ntt_stack(x, (Q,))[0])
+        assert np.array_equal(fused.inverse(x[0]), intt_stack(x, (Q,))[0])
 
     def test_negacyclic_multiply_sign(self):
         """(x^(n-1))^2 = x^(2n-2) = -x^(n-2) in the negacyclic ring."""
-        tr = get_transformer(Q, N)
-        a = np.zeros(N, dtype=np.uint64)
-        a[N - 1] = 1
-        prod = tr.negacyclic_multiply(a, a)
-        expected = np.zeros(N, dtype=np.uint64)
-        expected[N - 2] = Q - 1
+        a = np.zeros((1, N), dtype=np.uint64)
+        a[0, N - 1] = 1
+        fa = ntt_stack(a, (Q,))
+        prod = intt_stack((fa * fa) % np.uint64(Q), (Q,))
+        expected = np.zeros((1, N), dtype=np.uint64)
+        expected[0, N - 2] = Q - 1
         assert np.array_equal(prod, expected)
 
 

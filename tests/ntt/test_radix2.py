@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.errors import NTTError
-from repro.ntt.radix2 import (
-    intt_poly,
-    intt_radix2,
-    ntt_poly,
-    ntt_radix2,
-    ntt_radix2_cyclic,
-)
+from repro.ntt.radix2 import intt_radix2, ntt_radix2
 from repro.ntt.reference import intt_reference, ntt_reference
 from repro.ntt.tables import get_twiddle_table
 from repro.utils.primes import find_ntt_primes
@@ -123,18 +118,20 @@ class TestValidation:
         with pytest.raises(NTTError):
             ntt_radix2(np.zeros(32, dtype=np.uint64), TABLE)
 
-    def test_cyclic_wrong_root_rejected(self):
-        with pytest.raises(NTTError):
-            ntt_radix2_cyclic(random_vec(11), Q, 2)
-
 
 class TestPolyHelpers:
     def test_poly_roundtrip(self):
+        """Multi-limb transforms: the reference backend runs these
+        kernels once per limb row."""
         primes = find_ntt_primes(30, 3, N)
         rng = np.random.default_rng(12)
         data = np.stack(
             [rng.integers(0, q, N, dtype=np.uint64) for q in primes]
         )
-        f = ntt_poly(data, primes, N)
-        back = intt_poly(f, primes, N)
+        reference = kernels.resolve("reference")
+        f = reference.ntt(data, primes)
+        np.testing.assert_array_equal(
+            f[0], ntt_radix2(data[0], get_twiddle_table(primes[0], N))
+        )
+        back = reference.intt(f, primes)
         assert np.array_equal(back, data)

@@ -130,7 +130,6 @@ class TestRegressDriver:
             "cluster/crash-recovery",
             "microntt/N4096-L8/reference",
             "microntt/N4096-L8/numpy",
-            "microntt-fused/N4096-L8-k3/numpy",
         ]
         full = {name for name, _ in regress.build_suite(smoke=False)}
         assert set(names) <= full

@@ -14,6 +14,7 @@ from repro.obs.trace_export import (
 )
 from repro.sim.engine import PoseidonSimulator
 from repro.sim.timeline import Timeline
+from repro.sim.validate import validate_schedule
 from repro.workloads import synthetic_trace
 
 
@@ -66,7 +67,7 @@ class TestChromeTraceEvents:
                 assert span["name"] == interval.op_label
 
     def test_per_core_spans_do_not_overlap(self, result):
-        Timeline(result).verify_no_overlap()
+        validate_schedule(result)
         events = _span_events(chrome_trace_events(result))
         by_tid: dict[int, list] = {}
         for e in events:

@@ -10,10 +10,13 @@ kernel would overflow uint64.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.ntt.fusion import FusedNtt
 from repro.utils.primes import find_ntt_primes
 
 #: Largest ring degree the suite exercises. Any power-of-two degree
@@ -108,3 +111,28 @@ def negacyclic_convolution(a, b, q: int) -> list[int]:
             else:
                 out[k] = (out[k] + term) % q
     return out
+
+
+@lru_cache(maxsize=256)
+def _fused(q: int, n: int, radix_log2: int) -> FusedNtt:
+    return FusedNtt(q, n, radix_log2)
+
+
+def oracle_transform(data, moduli, radix_log2: int, *, inverse=False):
+    """Radix-2^k transform of every limb row of an ``(L, N)`` matrix.
+
+    ``radix_log2 = 1`` is the reference backend's radix-2 kernel; larger
+    ``k`` runs the paper's fused radix-2^k kernel
+    (:class:`~repro.ntt.fusion.FusedNtt`) limb by limb. Fusion changes
+    the reduction schedule, never the value, so every backend must match
+    this for every ``k``.
+    """
+    if radix_log2 == 1:
+        reference = kernels.resolve("reference")
+        return (reference.intt if inverse else reference.ntt)(data, moduli)
+    n = data.shape[-1]
+    rows = []
+    for row, q in zip(data, moduli):
+        fused = _fused(int(q), n, radix_log2)
+        rows.append(fused.inverse(row) if inverse else fused.forward(row))
+    return np.stack(rows)

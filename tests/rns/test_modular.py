@@ -9,11 +9,9 @@ from repro.rns.modular import (
     MAX_MODULUS,
     check_modulus,
     mod_add,
-    mod_dot,
     mod_inverse,
     mod_mul,
     mod_neg,
-    mod_pow,
     mod_scalar_mul,
     mod_sub,
 )
@@ -110,17 +108,6 @@ class TestModInverse:
     @settings(max_examples=50)
     def test_inverse_property(self, a):
         assert a * mod_inverse(a, Q) % Q == 1
-
-
-class TestModPowDot:
-    def test_pow(self):
-        assert mod_pow(3, 20, Q) == pow(3, 20, Q)
-
-    def test_dot_matches_bigint(self):
-        a = rand_residues(100, Q, 9)
-        b = rand_residues(100, Q, 10)
-        expected = sum(int(x) * int(y) for x, y in zip(a, b)) % Q
-        assert mod_dot(a, b, Q) == expected
 
 
 @given(st.data())

@@ -5,13 +5,8 @@ import pytest
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import compile_trace
 from repro.sim.engine import PoseidonSimulator
-from repro.sim.stats import (
-    bandwidth_report,
-    benchmark_op_shares,
-    benchmark_operator_shares,
-    operation_bandwidth,
-    operator_core_shares,
-)
+from repro.sim.config import HardwareConfig
+from repro.sim.stats import benchmark_operator_shares, operator_core_shares
 
 N = 1 << 14
 
@@ -32,42 +27,41 @@ def mixed_result(sim):
 
 
 class TestBandwidthReports:
+    """Table VII reads HBM usage straight off the simulation result."""
+
     def test_hadd_is_bandwidth_bound(self, sim):
         """Table VII headline: HAdd pins the HBM (>90%)."""
         op = FheOp.make(FheOpName.HADD, 1 << 16, 44)
-        report = operation_bandwidth(op, sim)
-        assert report.utilization_percent > 90
+        assert sim.run_ops([op]).bandwidth_utilization > 0.90
 
     def test_keyswitch_lower_utilization(self, sim):
         """Complex ops are compute-bound, so utilization drops."""
-        hadd = operation_bandwidth(FheOp.make(FheOpName.HADD, 1 << 16, 44),
-                                   sim)
-        ks = operation_bandwidth(
-            FheOp.make(FheOpName.KEYSWITCH, 1 << 16, 44, aux_limbs=4), sim
+        hadd = sim.run_ops([FheOp.make(FheOpName.HADD, 1 << 16, 44)])
+        ks = sim.run_ops(
+            [FheOp.make(FheOpName.KEYSWITCH, 1 << 16, 44, aux_limbs=4)]
         )
-        assert ks.utilization < hadd.utilization
+        assert ks.bandwidth_utilization < hadd.bandwidth_utilization
+        assert ks.delivered_bandwidth_fraction(
+            sim.config
+        ) < hadd.delivered_bandwidth_fraction(sim.config)
 
-    def test_report_fields(self, sim, mixed_result):
-        report = bandwidth_report("mix", mixed_result, sim.config)
-        assert report.name == "mix"
-        assert report.total_bytes == mixed_result.hbm_bytes
-        assert 0 <= report.utilization <= 1
+    def test_report_fields(self, mixed_result):
+        assert mixed_result.hbm_bytes > 0
+        assert 0 <= mixed_result.bandwidth_utilization <= 1
 
     def test_delivered_fraction_uses_configured_peak(self, sim, mixed_result):
         """The config argument must actually matter: the delivered
         fraction is achieved bytes/s over *that config's* peak."""
-        report = bandwidth_report("mix", mixed_result, sim.config)
-        assert report.achieved_bytes_per_s == pytest.approx(
+        achieved = mixed_result.achieved_bandwidth()
+        assert achieved == pytest.approx(
             mixed_result.hbm_bytes / mixed_result.total_seconds
         )
-        assert report.delivered_fraction == pytest.approx(
-            report.achieved_bytes_per_s / sim.config.hbm_bandwidth
-        )
-        fat_pipe = sim.config.__class__(hbm_bandwidth=2 * 460e9)
-        halved = bandwidth_report("mix", mixed_result, fat_pipe)
-        assert halved.delivered_fraction == pytest.approx(
-            report.delivered_fraction / 2
-        )
+        fraction = mixed_result.delivered_bandwidth_fraction(sim.config)
+        assert fraction == pytest.approx(achieved / sim.config.hbm_bandwidth)
+        fat_pipe = HardwareConfig(hbm_bandwidth=2 * 460e9)
+        assert mixed_result.delivered_bandwidth_fraction(
+            fat_pipe
+        ) == pytest.approx(fraction / 2)
 
 
 class TestShares:
@@ -77,7 +71,7 @@ class TestShares:
             assert sum(cores.values()) == pytest.approx(1.0), op_label
 
     def test_benchmark_op_shares(self, mixed_result):
-        shares = benchmark_op_shares(mixed_result)
+        shares = mixed_result.op_share()
         assert sum(shares.values()) == pytest.approx(1.0)
         assert set(shares) == {"HAdd", "CMult", "Rotation"}
 

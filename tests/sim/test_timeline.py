@@ -1,12 +1,14 @@
-"""Unit tests for the simulation timeline / scheduler invariants."""
+"""Unit tests for the simulation timeline and its scheduler invariants."""
 
 import pytest
 
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import compile_trace
 from repro.errors import SimulationError
+from repro.sim.config import HardwareConfig
 from repro.sim.engine import PoseidonSimulator, SimulationResult
 from repro.sim.timeline import Timeline
+from repro.sim.validate import validate_schedule
 
 N = 1 << 14
 
@@ -26,7 +28,7 @@ def mixed_timeline():
 class TestInvariants:
     def test_no_core_overlap(self, mixed_timeline):
         """The central scheduler invariant: one task per core at a time."""
-        mixed_timeline.verify_no_overlap()
+        validate_schedule(mixed_timeline.result)
 
     def test_overlap_detection_works(self):
         """A fabricated overlapping timeline must be rejected."""
@@ -48,8 +50,8 @@ class TestInvariants:
                            hbm_bytes=0, op_label="b"),
             ],
         )
-        with pytest.raises(SimulationError):
-            Timeline(result).verify_no_overlap()
+        with pytest.raises(SimulationError, match="double-booked"):
+            validate_schedule(result)
 
 
 class TestOverlapTolerance:
@@ -66,7 +68,7 @@ class TestOverlapTolerance:
 
     def test_relative_epsilon_tolerates_float_noise(self):
         """Spans are ~1e-3 s: sub-ulp-scale overlap is rounding noise,
-        not a double-booking (the old absolute 1e-15 rejected it)."""
+        not a double-booking (an absolute 1e-15 would reject it)."""
         from repro.sim.engine import TaskRecord
 
         total = 2e-3
@@ -79,7 +81,7 @@ class TestOverlapTolerance:
                        compute_seconds=1e-3, hbm_seconds=0,
                        hbm_bytes=0, op_label="b"),
         ], total)
-        Timeline(result).verify_no_overlap()
+        validate_schedule(result)
 
     def test_real_overlap_still_rejected(self):
         from repro.sim.engine import TaskRecord
@@ -93,8 +95,8 @@ class TestOverlapTolerance:
                        compute_seconds=1e-3, hbm_seconds=0,
                        hbm_bytes=0, op_label="b"),
         ], total)
-        with pytest.raises(SimulationError):
-            Timeline(result).verify_no_overlap()
+        with pytest.raises(SimulationError, match="double-booked"):
+            validate_schedule(result)
 
     def test_distinct_instances_may_overlap(self):
         from repro.sim.engine import TaskRecord
@@ -107,7 +109,9 @@ class TestOverlapTolerance:
                        compute_seconds=1e-3, hbm_seconds=0,
                        hbm_bytes=0, op_label="b", instance=1),
         ], 1e-3)
-        Timeline(result).verify_no_overlap()
+        validate_schedule(
+            result, config=HardwareConfig().with_core_instances(MM=2)
+        )
 
 
 class TestStatistics:
