@@ -12,7 +12,7 @@ before the task list is frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.ops import FheOp
 from repro.compiler.trace import TraceRecorder
@@ -27,11 +27,18 @@ class OperatorProgram:
         tasks: all operator tasks, topologically ordered.
         op_boundaries: (start, end) task-index span per source op.
         source_ops: the originating FHE operations.
+
+    Values derived from the program (the engine's timed forms, the
+    serve layer's key-upload variants) are memoized on it through
+    :meth:`memo`, so they live and die with the program.
     """
 
     tasks: tuple[OperatorTask, ...]
     op_boundaries: tuple[tuple[int, int], ...]
     source_ops: tuple[FheOp, ...]
+    _memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def task_count(self) -> int:
@@ -41,6 +48,14 @@ class OperatorProgram:
         """The task slice lowered from source op ``index``."""
         start, end = self.op_boundaries[index]
         return self.tasks[start:end]
+
+    def memo(self, key, build):
+        """``build()``, computed once per ``key`` and kept on this
+        program."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def __repr__(self) -> str:
         return (

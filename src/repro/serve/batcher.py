@@ -89,6 +89,16 @@ class DynamicBatcher:
     def __init__(self, policy: BatchPolicy | None = None):
         self.policy = policy or BatchPolicy()
         self._queue: list["Request"] = []
+        # Queue aggregates the router and the launch policy ask for on
+        # every decision, recomputed only after the queue changes (a
+        # fresh sum/min, never a running update, so the floats are
+        # exactly those of a re-scan). ``None`` means stale.
+        self._estimate: float | None = None
+        self._oldest: float | None = None
+
+    def _changed(self) -> None:
+        """Invalidate the cached queue aggregates."""
+        self._estimate = self._oldest = None
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -104,6 +114,7 @@ class DynamicBatcher:
         if bound is not None and len(self._queue) >= bound:
             return False
         self._queue.append(request)
+        self._changed()
         return True
 
     def queued_estimate_seconds(self) -> float:
@@ -113,7 +124,9 @@ class DynamicBatcher:
         policies use this (plus the inflight estimate the cluster
         tracks) as the instance's expected backlog.
         """
-        return sum(r.service_estimate for r in self._queue)
+        if self._estimate is None:
+            self._estimate = sum(r.service_estimate for r in self._queue)
+        return self._estimate
 
     def queued_count_for(self, tenant: str) -> int:
         """How many queued requests belong to ``tenant``.
@@ -127,7 +140,9 @@ class DynamicBatcher:
         """Arrival time of the longest-queued request, if any."""
         if not self._queue:
             return None
-        return min(r.arrival_seconds for r in self._queue)
+        if self._oldest is None:
+            self._oldest = min(r.arrival_seconds for r in self._queue)
+        return self._oldest
 
     def next_deadline(self) -> float | None:
         """When the queue-delay timer next forces a batch out."""
@@ -167,6 +182,7 @@ class DynamicBatcher:
             key=lambda r: (r.arrival_seconds, r.request_id),
         )
         self._queue = []
+        self._changed()
         return lost
 
     def expired(self, now: float) -> list["Request"]:
@@ -187,6 +203,7 @@ class DynamicBatcher:
             self._queue = [
                 r for r in self._queue if r.request_id not in gone
             ]
+            self._changed()
             out.sort(
                 key=lambda r: (r.arrival_seconds, r.request_id)
             )
@@ -218,4 +235,5 @@ class DynamicBatcher:
         self._queue = [
             r for r in self._queue if r.request_id not in taken
         ]
+        self._changed()
         return batch

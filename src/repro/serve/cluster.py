@@ -29,13 +29,18 @@ on one engine and charges no key movement. In general:
   abandoned / exhausted. Crashed instances restart as fresh engine
   epochs with cold key caches, so failover pays real key re-uploads.
 
-All instance engines advance on one master clock: every decision
-instant is the earliest of the next arrival, any instance's batcher
-deadline, and any instance's next engine event; every engine is then
-advanced to that instant. Admission reacts to completions exactly as a
-real scheduler's would, while every choice remains a pure function of
-the seed. Each instance's schedule is validated
-independently via ``engine.as_program()`` +
+All instance engines share one master clock, and the serve loop only
+wakes at *serve-visible* instants: the next arrival, retry or fault,
+any instance's batcher deadline or request expiry, and any instance's
+next submission completion. Between two such instants the engines step
+on their own, with no launch/route/completion pass; an engine never
+passes an instant at which a submission to it could still arrive (one
+with requests queued stops at its first completion, which may free a
+batch slot). Each request is admitted as its compiled program, whose
+timed form the engine memoizes on the program. Admission reacts to
+completions exactly as a real scheduler's would, while every choice
+remains a pure function of the seed. Each instance's schedule is
+validated independently via ``engine.as_program()`` +
 :func:`repro.sim.validate.validate_schedule`.
 
 ``benchmarks/bench_fleet_scaling.py`` sweeps instance count x routing
@@ -50,6 +55,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
+from repro.compiler.program import OperatorProgram
 from repro.errors import ParameterError, SimulationError
 from repro.obs import metrics
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
@@ -185,31 +191,45 @@ KEY_UPLOAD_LABEL = "KeyUpload"
 
 
 def _with_key_upload(
-    tasks, upload_bytes: int, key_set: int
-) -> list[OperatorTask]:
-    """Prepend a key-set upload to a request's task chain.
+    program: OperatorProgram, upload_bytes: int, key_set: int
+) -> OperatorProgram:
+    """The job program with a key-set upload prepended.
 
     The upload is a pure off-chip stream (negligible compute on the MA
     array) whose HBM traffic is the key-set size; every root task of
     the request gains a dependency on it, so the request cannot start
     until its keys are resident — and the transfer contends for the
     instance's HBM channels against everything else in flight.
+
+    The variant is built once per ``(upload_bytes, key_set)`` and
+    memoized on the job program (so its timed form is too); the
+    re-based job tasks are shared by every key set's variant.
     """
-    upload = OperatorTask(
-        kind=OperatorKind.MA,
-        elements=1,
-        degree=1,
-        limbs=1,
-        hbm_read_bytes=upload_bytes,
-        op_label=f"{KEY_UPLOAD_LABEL}:k{key_set}",
-    )
-    out = [upload]
-    for task in tasks:
-        shifted = task.shifted(1)
-        if not shifted.depends_on:
-            shifted = replace(shifted, depends_on=(0,))
-        out.append(shifted)
-    return out
+    def variant():
+        upload = OperatorTask(
+            kind=OperatorKind.MA,
+            elements=1,
+            degree=1,
+            limbs=1,
+            hbm_read_bytes=upload_bytes,
+            op_label=f"{KEY_UPLOAD_LABEL}:k{key_set}",
+        )
+        job_tasks = program.memo(KEY_UPLOAD_LABEL, lambda: tuple(
+            task.shifted(1) if task.depends_on
+            else replace(task, depends_on=(0,))
+            for task in program.tasks
+        ))
+        # The upload belongs to the first op's span.
+        spans = [(s + 1, e + 1) for s, e in program.op_boundaries]
+        if spans:
+            spans[0] = (0, spans[0][1])
+        return OperatorProgram(
+            tasks=(upload,) + job_tasks,
+            op_boundaries=tuple(spans),
+            source_ops=program.source_ops,
+        )
+
+    return program.memo((KEY_UPLOAD_LABEL, upload_bytes, key_set), variant)
 
 
 @dataclass
@@ -259,6 +279,37 @@ class _Instance:
             ),
             key_cache=self.cache,
         )
+
+
+def _run_engine(inst: _Instance, bound: float) -> float:
+    """Run one instance's engine towards ``bound`` and return the
+    instance's next serve-visible instant (``bound`` at the latest).
+
+    That is its first completion the serve loop has not observed yet.
+    With requests queued, such a completion may free a batch slot and
+    launch a submission at its instant, so the engine stops there;
+    with an empty queue nothing can be submitted to it before
+    ``bound`` (arrivals, retries, deadlines, expiries and faults are
+    all in it), so it runs straight to ``bound``.
+    """
+    engine = inst.engine
+    done = engine.completions
+    if inst.completion_ptr == len(done):
+        if inst.batcher.depth:
+            while True:
+                t = engine.next_event_time()
+                if t is None or t > bound:
+                    break
+                engine.advance_until(t)
+                if inst.completion_ptr < len(done):
+                    break
+        elif bound == math.inf:
+            engine.drain()  # no instant left that could submit here
+        else:
+            engine.advance_until(bound)
+    if inst.completion_ptr < len(done):
+        return min(bound, done[inst.completion_ptr].finish_seconds)
+    return bound
 
 
 @dataclass
@@ -586,14 +637,6 @@ class ClusterSimulator:
         self._estimator = ServiceEstimator()
 
     # ------------------------------------------------------------------
-    def _service_estimate(
-        self, engine: ScheduleEngine, job: RequestType
-    ) -> float:
-        """Serial-execution estimate, cached per resolved program
-        (identical across instances — they share one hardware
-        config)."""
-        return self._estimator.estimate(engine, job)
-
     def _fair_rejects(self, inst: _Instance, req: Request) -> bool:
         """Whether fair admission turns this arrival away.
 
@@ -641,16 +684,16 @@ class ClusterSimulator:
             for req in members:
                 rec = records[req.request_id]
                 hit = inst.cache.admit(req.key_set)
-                tasks = req.job.program.tasks
+                program = req.job.program
                 if not hit:
                     upload_bytes = self.policy.upload_bytes
                     if upload_bytes:
-                        tasks = _with_key_upload(
-                            tasks, upload_bytes, req.key_set
+                        program = _with_key_upload(
+                            program, upload_bytes, req.key_set
                         )
                         inst.upload_bytes += upload_bytes
                 sub = inst.engine.submit(
-                    tasks,
+                    program,
                     release=now,
                     label=(
                         f"req{req.request_id}:{req.job.name}"
@@ -810,7 +853,8 @@ class ClusterSimulator:
                     request_id=rid,
                     job=job,
                     arrival_seconds=t,
-                    service_estimate=self._service_estimate(
+                    # Identical across instances: one hardware config.
+                    service_estimate=self._estimator.estimate(
                         instances[0].engine, job
                     ),
                     tenant=tenant,
@@ -958,14 +1002,17 @@ class ClusterSimulator:
             if launched:
                 depth_series.append((now, total_depth()))
 
-            # Earliest decision instant across the whole fleet.
-            candidates = []
+            # The next serve-visible instant: the earliest arrival,
+            # retry, fault, batcher deadline or expiry, or an
+            # instance's next submission completion. Engines run up to
+            # it without a launch/route/completion pass in between.
+            horizon = math.inf
             if ai < n:
-                candidates.append(requests[ai].arrival_seconds)
+                horizon = requests[ai].arrival_seconds
             if retry_heap:
-                candidates.append(retry_heap[0][0])
+                horizon = min(horizon, retry_heap[0][0])
             if fault_heap:
-                candidates.append(fault_heap[0][0])
+                horizon = min(horizon, fault_heap[0][0])
             for inst in instances:
                 if not inst.up:
                     continue
@@ -976,29 +1023,29 @@ class ClusterSimulator:
                 ):
                     deadline = inst.batcher.next_deadline()
                     if deadline is not None:
-                        candidates.append(deadline)
+                        horizon = min(horizon, deadline)
                 if rel_deadline is not None:
                     expiry = inst.batcher.next_expiry()
                     if expiry is not None:
-                        candidates.append(expiry)
-                next_event = inst.engine.next_event_time()
-                if next_event is not None:
-                    candidates.append(next_event)
-            if not candidates:  # pragma: no cover - loop invariant
-                break
-            horizon = min(candidates)
-
-            # One master clock: every live engine advances.
+                        horizon = min(horizon, expiry)
             for inst in instances:
                 if inst.up:
-                    inst.engine.advance_until(horizon)
+                    horizon = _run_engine(inst, horizon)
+            if horizon == math.inf:  # pragma: no cover - loop invariant
+                break
 
-            # Completions release batch slots and backlog estimate.
+            # Completions up to the horizon release batch slots and
+            # backlog estimate.
             for inst in instances:
                 if not inst.up:
                     continue
-                while inst.completion_ptr < len(inst.engine.completions):
-                    sub = inst.engine.completions[inst.completion_ptr]
+                done = inst.engine.completions
+                while (
+                    inst.completion_ptr < len(done)
+                    and done[inst.completion_ptr].finish_seconds
+                    <= horizon
+                ):
+                    sub = done[inst.completion_ptr]
                     inst.completion_ptr += 1
                     rec, batch, req_c = inst.by_submission[sub.index]
                     rec.finish_seconds = sub.finish_seconds

@@ -6,44 +6,29 @@ and the shortest-expected-job / key-affinity routing backlog unit. A
 cache keyed on ``job.name`` would silently go stale when one simulator
 object is reused across ``run()`` calls with different ``passes=``
 pipelines (the pipeline rewrites the job's task list without renaming
-the job), so the cache here is keyed on the *resolved program*: two
-jobs with the same name but different compiled task lists never share
-an estimate.
+the job), so the estimate is derived from the *resolved program*: it
+sums the program's timed form, which the engine memoizes on the
+program itself. Two jobs with the same name but different compiled
+task lists never share an estimate.
 """
 
 from __future__ import annotations
 
 
 class ServiceEstimator:
-    """Serial-execution estimates, cached per resolved program.
+    """Serial-execution estimates of request programs.
 
     The estimate is the sum over the program's tasks of each task's
     core-side occupancy (``max(compute, scratchpad stream)``) — the
-    serial lower bound a request adds to an instance's backlog.
-
-    The cache key is the program object itself (by identity, with the
-    program kept alive by the cache so ids cannot be recycled), not the
-    job name: compiler passes produce *different programs under the
-    same job name*, and a name-keyed cache would keep quoting the old
-    pipeline's estimate.
+    serial lower bound a request adds to an instance's backlog. Those
+    occupancies are the unscaled durations of the program's timed form
+    (:meth:`repro.sim.engine.ScheduleEngine.timed_form`), the very
+    numbers the engine schedules with, so the estimate and the
+    schedule share one cost formula. The form is memoized on the
+    program (not on the job name), so compiler passes that produce a
+    different program under the same job name get their own estimate.
     """
-
-    def __init__(self):
-        self._cache: dict[int, tuple[object, float]] = {}
 
     def estimate(self, engine, job) -> float:
         """Serial-execution estimate of ``job`` on ``engine``'s models."""
-        program = job.program
-        hit = self._cache.get(id(program))
-        if hit is not None and hit[0] is program:
-            return hit[1]
-        cfg = engine.config
-        est = sum(
-            max(
-                engine.cores.task_cycles(t).cycles * cfg.cycle_seconds,
-                engine.memory.task_timing(t).spad_seconds,
-            )
-            for t in program.tasks
-        )
-        self._cache[id(program)] = (program, est)
-        return est
+        return sum(engine.timed_form(job.program).durations)

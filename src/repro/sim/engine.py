@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING
 from repro.errors import SchedulingError
 from repro.obs import metrics
 from repro.sim.config import CORE_ARRAYS, HardwareConfig
-from repro.sim.cores import CoreModel
-from repro.sim.memory import MemoryModel
+from repro.sim.cores import CoreModel, CoreTiming
+from repro.sim.memory import MemoryModel, MemoryTiming
 
 if TYPE_CHECKING:  # avoid a circular import; engine only needs the type
     from repro.compiler.program import OperatorProgram
@@ -188,6 +188,129 @@ _EV_RELEASE = 1
 _EV_COMPLETE = 2
 
 
+@dataclass(frozen=True, eq=False)
+class TimedForm:
+    """A task list's engine timing, computed once and admitted as is.
+
+    Per task (local index ``i``): ``timings[i]`` and ``mems[i]`` are
+    the core and memory models' answers, ``durations[i]`` the core
+    occupancy ``max(compute, scratchpad stream)`` after the compute
+    derate, and ``deps[i]`` the de-duplicated local dependencies.
+    ``dependents``, ``roots`` and ``spans`` are derived from them so
+    admission is list extends plus one ready event per root; the
+    ``spad_*``/``spill_bytes``/``channels`` totals are what admission
+    publishes as ``sim.spad.*`` and ``sim.hbm.*`` metrics.
+
+    :meth:`ScheduleEngine.timed_form` builds one; for an
+    :class:`~repro.compiler.program.OperatorProgram` it is memoized on
+    the program, keyed by ``(HardwareConfig, compute_scale,
+    hbm_scale)``, so it lives and dies with its program.
+    """
+
+    tasks: tuple
+    timings: tuple[CoreTiming, ...]
+    mems: tuple[MemoryTiming, ...]
+    durations: tuple[float, ...]
+    deps: tuple[tuple[int, ...], ...]
+    dependents: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
+    #: Initial HBM span per task: ``(0.0, 0.0)`` when it moves no
+    #: off-chip bytes (nothing to grant), else ``None``.
+    spans: tuple
+    spad_hits: int
+    spad_misses: int
+    spill_bytes: int
+    #: ``channels_used`` of every task that moves off-chip bytes, in
+    #: task order (one ``sim.hbm.transfers`` each).
+    channels: tuple[int, ...]
+
+    @classmethod
+    def build(
+        cls, tasks, cores: CoreModel, memory: MemoryModel
+    ) -> "TimedForm":
+        """Run the core and memory models once per task."""
+        cycle_seconds = cores.config.cycle_seconds
+        timings, mems, durations, deps = [], [], [], []
+        dependents: list[list[int]] = []
+        roots = []
+        for i, task in enumerate(tasks):
+            timing = cores.task_cycles(task)
+            if timing.core not in CORE_NAMES:
+                raise SchedulingError(
+                    f"task {i} targets unknown core {timing.core!r}"
+                )
+            local = task.depends_on
+            for dep in local:
+                if dep < 0 or dep >= i:
+                    raise SchedulingError(
+                        f"task {i} has forward/invalid dependency {dep}"
+                    )
+            if len(local) > 1 and len(set(local)) != len(local):
+                local = tuple(dict.fromkeys(local))
+            mem = memory.task_timing(task)
+            timings.append(timing)
+            mems.append(mem)
+            durations.append(
+                max(timing.cycles * cycle_seconds, mem.spad_seconds)
+            )
+            deps.append(local)
+            dependents.append([])
+            for dep in local:
+                dependents[dep].append(i)
+            if not local:
+                roots.append(i)
+        misses = sum(1 for m in mems if m.spill_bytes)
+        return cls(
+            tasks=tuple(tasks),
+            timings=tuple(timings),
+            mems=tuple(mems),
+            durations=tuple(durations),
+            deps=tuple(deps),
+            dependents=tuple(tuple(d) for d in dependents),
+            roots=tuple(roots),
+            spans=tuple(
+                None if m.hbm_bytes else (0.0, 0.0) for m in mems
+            ),
+            spad_hits=len(mems) - misses,
+            spad_misses=misses,
+            spill_bytes=sum(m.spill_bytes for m in mems),
+            channels=tuple(
+                m.channels_used for m in mems if m.hbm_bytes
+            ),
+        )
+
+    def derated(
+        self, compute_scale: float, hbm_scale: float
+    ) -> "TimedForm":
+        """The same form with the fault layer's derates applied:
+        ``compute_scale`` multiplies each core occupancy, ``hbm_scale``
+        each transfer's channel time."""
+        durations, mems = self.durations, self.mems
+        if compute_scale != 1.0:
+            durations = tuple(d * compute_scale for d in durations)
+        if hbm_scale != 1.0:
+            mems = tuple(
+                replace(m, hbm_seconds=m.hbm_seconds * hbm_scale)
+                if m.hbm_bytes else m
+                for m in mems
+            )
+        return replace(self, durations=durations, mems=mems)
+
+    def publish(self, reg) -> None:
+        """Count this form's tasks into the ``sim.spad.*`` and
+        ``sim.hbm.*`` metrics (once per admission)."""
+        if self.spad_misses:
+            reg.counter("sim.spad.misses").inc(self.spad_misses)
+            reg.counter("sim.spad.spill_bytes").inc(self.spill_bytes)
+        if self.spad_hits:
+            reg.counter("sim.spad.hits").inc(self.spad_hits)
+        if self.channels:
+            reg.counter("sim.hbm.transfers").inc(len(self.channels))
+            hist = reg.histogram("sim.hbm.channels_used")
+            for channels in self.channels:
+                hist.observe(channels)
+
+
 @dataclass
 class Submission:
     """One admitted task list on a :class:`ScheduleEngine`.
@@ -251,8 +374,6 @@ class ScheduleEngine:
         self,
         config: HardwareConfig | None = None,
         *,
-        cores: CoreModel | None = None,
-        memory: MemoryModel | None = None,
         epoch: float = 0.0,
     ):
         if epoch < 0:
@@ -260,8 +381,8 @@ class ScheduleEngine:
                 f"engine epoch must be >= 0, got {epoch}"
             )
         self.config = config or HardwareConfig()
-        self.cores = cores or CoreModel(self.config)
-        self.memory = memory or MemoryModel(self.config)
+        self.cores = CoreModel(self.config)
+        self.memory = MemoryModel(self.config)
         cfg = self.config
         # Resource state: per-instance core free times (None = occupied
         # by a task whose stream has not been granted yet, so its end is
@@ -288,12 +409,16 @@ class ScheduleEngine:
         # as if it had idled since t=0.
         self._now = epoch
         # Per-task state, indexed by global task id (grows on submit).
+        # ``_tasks`` and ``_dependents`` keep submission-local indices
+        # (the timed form's, shared across submissions); the owning
+        # submission's ``base`` re-bases them where a global id is
+        # needed.
         self._tasks: list = []
         self._timings: list = []
         self._mems: list = []
         self._durations: list[float] = []
         self._remaining: list[int] = []
-        self._dependents: list[list[int]] = []
+        self._dependents: list = []
         self._ready: list[float] = []
         self._start: list[float | None] = []
         self._hbm_span: list[tuple[float, float] | None] = []
@@ -309,6 +434,40 @@ class ScheduleEngine:
         self._dead = False
 
     # -- admission -----------------------------------------------------
+    def timed_form(
+        self,
+        tasks,
+        compute_scale: float = 1.0,
+        hbm_scale: float = 1.0,
+    ) -> TimedForm:
+        """The timed form :meth:`submit` admits for ``tasks``.
+
+        For an :class:`~repro.compiler.program.OperatorProgram` the
+        form is memoized on the program, keyed by ``(config,
+        compute_scale, hbm_scale)``: every later submission of the
+        same program on an engine of the same configuration reuses it.
+        A bare task sequence is timed afresh on every call.
+        """
+        from repro.compiler.program import OperatorProgram
+
+        if not isinstance(tasks, OperatorProgram):
+            form = TimedForm.build(tasks, self.cores, self.memory)
+            if compute_scale != 1.0 or hbm_scale != 1.0:
+                form = form.derated(compute_scale, hbm_scale)
+            return form
+        program = tasks
+        if compute_scale != 1.0 or hbm_scale != 1.0:
+            return program.memo(
+                (self.config, compute_scale, hbm_scale),
+                lambda: self.timed_form(program).derated(
+                    compute_scale, hbm_scale
+                ),
+            )
+        return program.memo(
+            (self.config, 1.0, 1.0),
+            lambda: TimedForm.build(program.tasks, self.cores, self.memory),
+        )
+
     def submit(
         self,
         tasks,
@@ -321,7 +480,10 @@ class ScheduleEngine:
         """Admit a task list; its tasks become ready no earlier than
         ``release``.
 
-        Dependency indices in ``tasks`` are local to the list (the
+        ``tasks`` is a compiled
+        :class:`~repro.compiler.program.OperatorProgram` (its timed
+        form is memoized on it, see :meth:`timed_form`) or a bare task
+        sequence. Dependency indices are local to the list (the
         compiler's convention) and are re-based onto the engine's
         global index space.
 
@@ -346,64 +508,43 @@ class ScheduleEngine:
                 f"cannot submit in the past: release {release} < "
                 f"engine time {self._now}"
             )
+        form = self.timed_form(tasks, compute_scale, hbm_scale)
         base = len(self._tasks)
+        count = len(form.tasks)
         submission = Submission(
             index=len(self.submissions),
             base=base,
-            count=len(tasks),
+            count=count,
             release_seconds=release,
             label=label,
-            _remaining=len(tasks),
+            _remaining=count,
         )
         self.submissions.append(submission)
-        if not tasks:
+        if not count:
             submission.finish_seconds = release
             heapq.heappush(
                 self._events, (release, _EV_COMPLETE, submission.index)
             )
             return submission
-        cfg = self.config
-        for local, task in enumerate(tasks):
-            i = base + local
-            timing = self.cores.task_cycles(task)
-            if timing.core not in CORE_NAMES:
-                raise SchedulingError(
-                    f"task {i} targets unknown core {timing.core!r}"
-                )
-            for dep in task.depends_on:
-                if dep < 0 or dep >= local:
-                    raise SchedulingError(
-                        f"task {i} has forward/invalid dependency {dep}"
-                    )
-            mem = self.memory.task_timing(task)
-            if hbm_scale != 1.0 and mem.hbm_bytes:
-                mem = replace(
-                    mem, hbm_seconds=mem.hbm_seconds * hbm_scale
-                )
-            self._tasks.append(task.shifted(base) if base else task)
-            self._timings.append(timing)
-            self._mems.append(mem)
-            duration = max(
-                timing.cycles * cfg.cycle_seconds, mem.spad_seconds
-            )
-            if compute_scale != 1.0:
-                duration *= compute_scale
-            self._durations.append(duration)
-            uniq = {dep + base for dep in task.depends_on}
-            self._remaining.append(len(uniq))
-            self._dependents.append([])
-            for dep in uniq:
-                self._dependents[dep].append(i)
-            self._ready.append(release)
-            self._start.append(None)
-            self._hbm_span.append(
-                (0.0, 0.0) if mem.hbm_bytes == 0 else None
-            )
-            self._end.append(None)
-            self._instance_of.append(0)
-            self._owner.append(submission)
-            if not uniq:
-                heapq.heappush(self._events, (release, _EV_READY, i))
+        reg = metrics.active()
+        if reg is not None:
+            form.publish(reg)
+        self._tasks.extend(form.tasks)
+        self._timings.extend(form.timings)
+        self._mems.extend(form.mems)
+        self._durations.extend(form.durations)
+        self._remaining.extend(map(len, form.deps))
+        self._dependents.extend(form.dependents)
+        self._ready.extend([release] * count)
+        unset = [None] * count
+        self._start.extend(unset)
+        self._end.extend(unset)
+        self._hbm_span.extend(form.spans)
+        self._instance_of.extend([0] * count)
+        self._owner.extend([submission] * count)
+        events = self._events
+        for local in form.roots:
+            heapq.heappush(events, (release, _EV_READY, base + local))
         return submission
 
     # -- event processing ----------------------------------------------
@@ -438,7 +579,9 @@ class ScheduleEngine:
                 self._events,
                 (owner._max_end, _EV_COMPLETE, owner.index),
             )
+        base = owner.base
         for d in self._dependents[i]:
+            d += base
             if task_end > self._ready[d]:
                 self._ready[d] = task_end
             self._remaining[d] -= 1
@@ -585,17 +728,38 @@ class ScheduleEngine:
         ]
         dropped = len(self._tasks) - len(keep)
         remap = {old: new for new, old in enumerate(keep)}
-        # A kept task's dependencies are provably kept (dep end <=
-        # task ready <= start <= end <= at), so the remap is total
-        # over every dependency edge we keep.
+        # Re-base every submission onto the truncated index space.
+        # Bases are contiguous and ``keep`` ascending, so one cursor
+        # walk assigns each kept task to its owning submission; a lost
+        # submission keeps its finished prefix (possibly empty). A kept
+        # task's dependencies are provably kept (dep end <= task ready
+        # <= start <= end <= at), so the remap is total over every
+        # dependency edge we keep; tasks stay submission-local.
         new_tasks = []
-        for old in keep:
-            task = self._tasks[old]
-            if task.depends_on:
-                deps = tuple(remap[d] for d in task.depends_on)
-                if deps != task.depends_on:
-                    task = replace(task, depends_on=deps)
-            new_tasks.append(task)
+        lost = []
+        cursor = 0
+        for sub in self.submissions:
+            old_base, sub_end = sub.base, sub.base + sub.count
+            new_base = cursor
+            while cursor < len(keep) and keep[cursor] < sub_end:
+                task = self._tasks[keep[cursor]]
+                if task.depends_on:
+                    deps = tuple(
+                        remap[old_base + d] - new_base
+                        for d in task.depends_on
+                    )
+                    if deps != task.depends_on:
+                        task = replace(task, depends_on=deps)
+                new_tasks.append(task)
+                cursor += 1
+            if sub.finish_seconds is None or sub.finish_seconds > at:
+                # Either still running, or committed analytically for
+                # a future instant the crash pre-empted — the serving
+                # layer never observed the completion, so it is lost.
+                sub.finish_seconds = None
+                lost.append(sub)
+            sub.base = new_base
+            sub.count = cursor - new_base
         self._tasks = new_tasks
         self._timings = [self._timings[o] for o in keep]
         self._mems = [self._mems[o] for o in keep]
@@ -606,35 +770,15 @@ class ScheduleEngine:
         self._end = [self._end[o] for o in keep]
         self._instance_of = [self._instance_of[o] for o in keep]
         self._owner = [self._owner[o] for o in keep]
+        # A dead engine never finalizes another task: no successor
+        # lists or pending-dependency counts to carry over.
         self._remaining = [0] * len(keep)
-        self._dependents = [[] for _ in keep]
-        for i, task in enumerate(self._tasks):
-            for dep in set(task.depends_on):
-                self._dependents[dep].append(i)
+        self._dependents = [()] * len(keep)
         self._hbm_intervals = [
             self._hbm_span[i]
             for i in range(len(keep))
             if self._mems[i].hbm_bytes > 0
         ]
-        # Re-base every submission onto the truncated index space.
-        # Bases are contiguous and ``keep`` ascending, so one cursor
-        # walk assigns each kept task to its owning submission; a lost
-        # submission keeps its finished prefix (possibly empty).
-        lost = []
-        cursor = 0
-        for sub in self.submissions:
-            sub_end = sub.base + sub.count
-            new_base = cursor
-            while cursor < len(keep) and keep[cursor] < sub_end:
-                cursor += 1
-            if sub.finish_seconds is None or sub.finish_seconds > at:
-                # Either still running, or committed analytically for
-                # a future instant the crash pre-empted — the serving
-                # layer never observed the completion, so it is lost.
-                sub.finish_seconds = None
-                lost.append(sub)
-            sub.base = new_base
-            sub.count = cursor - new_base
         self._events.clear()
         self._release_times.clear()
         for queue in self._core_queue.values():
@@ -674,8 +818,17 @@ class ScheduleEngine:
         """
         from repro.compiler.program import OperatorProgram
 
+        tasks = []
+        for sub in self.submissions:
+            base = sub.base
+            local = self._tasks[base:base + sub.count]
+            if base:
+                local = [
+                    t.shifted(base) if t.depends_on else t for t in local
+                ]
+            tasks.extend(local)
         return OperatorProgram(
-            tasks=tuple(self._tasks),
+            tasks=tuple(tasks),
             op_boundaries=tuple(
                 (s.base, s.base + s.count) for s in self.submissions
             ),
@@ -778,9 +931,7 @@ class PoseidonSimulator:
         The closed-system special case of :class:`ScheduleEngine`: one
         submission at t=0, drained to completion.
         """
-        engine = ScheduleEngine(
-            self.config, cores=self.cores, memory=self.memory
-        )
+        engine = ScheduleEngine(self.config)
         engine.submit(program.tasks)
         engine.drain()
         result = engine.result()

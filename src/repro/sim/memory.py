@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs import metrics
 from repro.sim.config import HardwareConfig, LIMB_BYTES
 
 #: Bytes one HBM pseudo-channel serves per striping unit. Transfers
@@ -66,6 +65,10 @@ class MemoryModel:
 
         If the task's streaming working set exceeds the scratchpad, the
         overflow is charged as extra HBM traffic (spill + refill).
+
+        Pure: the ``sim.spad.*``/``sim.hbm.*`` metrics count admitted
+        tasks and are published by :meth:`ScheduleEngine.submit
+        <repro.sim.engine.ScheduleEngine.submit>`, not here.
         """
         cfg = self.config
         spill = 0
@@ -81,16 +84,6 @@ class MemoryModel:
         else:
             hbm_seconds = 0.0
         spad_seconds = task.spad_bytes / cfg.scratchpad_bandwidth
-        reg = metrics.active()
-        if reg is not None:
-            if spill:
-                reg.counter("sim.spad.misses").inc()
-                reg.counter("sim.spad.spill_bytes").inc(spill)
-            else:
-                reg.counter("sim.spad.hits").inc()
-            if hbm_bytes:
-                reg.counter("sim.hbm.transfers").inc()
-                reg.histogram("sim.hbm.channels_used").observe(channels)
         return MemoryTiming(
             hbm_seconds=hbm_seconds,
             hbm_bytes=hbm_bytes,

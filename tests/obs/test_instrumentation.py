@@ -13,6 +13,7 @@ from repro.obs import collecting
 from repro.rns.barrett import BarrettReducer
 from repro.rns.context import RnsContext
 from repro.rns.poly import Domain, RnsPolynomial
+from repro.serve import ClusterPolicy, ClusterSimulator, PoissonArrivals
 from repro.sim.engine import PoseidonSimulator
 from repro.utils.primes import find_ntt_primes
 from repro.workloads import synthetic_trace
@@ -61,6 +62,27 @@ class TestSimulatorMetrics:
         assert baseline.total_seconds == observed.total_seconds
         assert baseline.total_seconds == again.total_seconds
         assert baseline.task_records == observed.task_records
+
+
+class TestServedMetrics:
+    def test_spad_and_transfer_counts_cover_scheduled_tasks_only(self):
+        # The service estimate times the request program too; only
+        # tasks an engine admitted may be counted.
+        with collecting() as reg:
+            result = ClusterSimulator(
+                policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+            ).run("keyswitch", PoissonArrivals(rate=300.0, count=10, seed=0))
+        snap = reg.snapshot()
+        records = [
+            rec for report in result.instances
+            for rec in report.sim.task_records
+        ]
+        hits = snap.get("sim.spad.hits", 0)
+        misses = snap.get("sim.spad.misses", 0)
+        assert hits + misses == len(records)
+        transfers = sum(1 for rec in records if rec.hbm_bytes)
+        assert snap["sim.hbm.transfers"] == transfers
+        assert snap["sim.hbm.channels_used"]["count"] == transfers
 
 
 class TestKernelMetrics:

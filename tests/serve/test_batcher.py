@@ -1,5 +1,7 @@
 """The dynamic batcher as pure policy: launch, order, backpressure."""
 
+import random
+
 import pytest
 
 from repro.errors import ParameterError
@@ -125,3 +127,38 @@ class TestBackpressure:
         for i in range(100):
             assert b.offer(_req(i, 0.0))
         assert b.depth == 100
+
+
+class TestCachedAggregates:
+    def test_cached_values_equal_a_fresh_scan(self):
+        # The backlog sum and the oldest arrival are cached between
+        # queue changes; after every step of a seeded random
+        # offer/take/expire/drain sequence they must equal exactly the
+        # sum/min a fresh scan of the queue gives.
+        rng = random.Random(16)
+        b = DynamicBatcher(BatchPolicy(
+            max_batch_size=3, order="sjf", max_queue_depth=12,
+        ))
+        now = 0.0
+        for rid in range(400):
+            now += rng.expovariate(1000.0)
+            step = rng.random()
+            if step < 0.6:
+                b.offer(Request(
+                    request_id=rid, job=None, arrival_seconds=now,
+                    service_estimate=rng.uniform(1e-4, 5e-3),
+                    deadline_seconds=now + rng.uniform(1e-3, 1e-2),
+                ))
+            elif step < 0.8:
+                b.take_batch(now)
+            elif step < 0.97:
+                b.expired(now)
+            else:
+                b.drain()
+            queue = list(b._queue)
+            assert b.queued_estimate_seconds() == sum(
+                r.service_estimate for r in queue
+            )
+            assert b.oldest_arrival() == (
+                min(r.arrival_seconds for r in queue) if queue else None
+            )

@@ -20,8 +20,10 @@ from repro.serve import (
     ClusterSimulator,
     PoissonArrivals,
     TenantPopulation,
+    request_type,
 )
-from repro.serve.cluster import KEY_UPLOAD_LABEL
+from repro.serve.cluster import KEY_UPLOAD_LABEL, _with_key_upload
+from repro.sim.validate import validate_program
 
 HEAVY_KEYS = 4 * KEY_SET_BYTES
 
@@ -134,6 +136,23 @@ class TestSchedulesValid:
         ]
         assert len(uploads) == result.key_misses
         assert all(task.hbm_read_bytes == HEAVY_KEYS for task in uploads)
+
+    def test_key_upload_variant_built_once_per_key_set(self):
+        job = request_type("keyswitch")
+        variant = _with_key_upload(job.program, HEAVY_KEYS, 3)
+        assert _with_key_upload(job.program, HEAVY_KEYS, 3) is variant
+        other = _with_key_upload(job.program, HEAVY_KEYS, 4)
+        assert other is not variant
+        # Every key set's variant shares the re-based job tasks.
+        assert all(a is b for a, b in zip(variant.tasks[1:], other.tasks[1:]))
+        upload, *rest = variant.tasks
+        assert upload.hbm_read_bytes == HEAVY_KEYS
+        assert upload.op_label == f"{KEY_UPLOAD_LABEL}:k3"
+        for task, orig in zip(rest, job.program.tasks):
+            assert task.depends_on == (
+                tuple(d + 1 for d in orig.depends_on) or (0,)
+            )
+        validate_program(variant)
 
     def test_upload_bytes_accounting(self):
         result = run_cluster(instances=2, count=24)

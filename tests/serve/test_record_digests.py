@@ -1,6 +1,6 @@
-"""Pinned per-request records of the single-engine serve.
+"""Pinned per-request records of the serve loop.
 
-Each case serves one configuration on one warm engine
+Each single-engine case serves one configuration on one warm engine
 (``ClusterPolicy(instances=1, key_upload_bytes=0)``) and hashes every
 request's ``(request_id, job, arrival, admit, start, finish,
 batch_index, rejected)`` tuple. The digests were recorded from the
@@ -8,6 +8,10 @@ dedicated single-instance serving loop this one replaced, so any drift
 in admission, batching, dispatch or backpressure shows up here — not
 only in the makespan/throughput that ``test_baseline_differential``
 checks.
+
+The faulted case pins a routed fleet through a crash, a cold restart,
+client deadlines and retries — the instants (faults, expiries,
+retries) around which the serve loop reorders its work.
 """
 
 import hashlib
@@ -15,10 +19,16 @@ import hashlib
 import pytest
 
 from repro.serve import (
+    KEY_SET_BYTES,
     BatchPolicy,
     ClusterPolicy,
     ClusterSimulator,
+    FaultPlan,
+    InstanceCrash,
     PoissonArrivals,
+    ResiliencePolicy,
+    RetryPolicy,
+    TenantPopulation,
     TraceArrivals,
 )
 
@@ -98,3 +108,52 @@ def test_single_engine_records_pinned(name):
         batch_policy=batch_policy,
     ).run(workload, arrivals, seed=seed, passes=passes)
     assert record_digest(result.records) == want
+
+
+#: Every public field of every record of the faulted fleet run below.
+FAULTED_FLEET_DIGEST = (
+    "86c2012bf887b16865710f906b8974e5f45c5bd9e867361b493ecb7c9d8435bc"
+)
+
+
+def test_faulted_fleet_records_pinned():
+    # The bench_fault_recovery.py smoke scenario on key-affinity: three
+    # instances, instance 0 crashes at 80 ms and restarts cold 20 ms
+    # later, up to four jittered attempts. The client deadline is 30 ms
+    # (the bench's is 100 ms) so queued requests also expire.
+    result = ClusterSimulator(
+        policy=ClusterPolicy(
+            instances=3,
+            router="key-affinity",
+            key_cache_capacity=4,
+            key_upload_bytes=4 * KEY_SET_BYTES,
+        ),
+        batch_policy=BatchPolicy(
+            max_batch_size=4, max_queue_delay=0.0005,
+            max_inflight_batches=2,
+        ),
+    ).run(
+        "keyswitch",
+        PoissonArrivals(rate=600.0, count=128, seed=7),
+        seed=7,
+        population=TenantPopulation(tenants=8, key_sets=16, skew=0.8),
+        faults=FaultPlan((
+            InstanceCrash(instance=0, at_seconds=0.08, restart_after=0.02),
+        )),
+        resilience=ResiliencePolicy(
+            deadline_seconds=0.03,
+            retry=RetryPolicy(
+                max_attempts=4, backoff_seconds=0.001, jitter=0.5
+            ),
+            detection_seconds=0.002,
+        ),
+    )
+    result.validate()
+    assert (result.crashes, result.restarts) == (1, 1)
+    assert result.total_retries and result.abandoned
+    rows = [
+        tuple(getattr(r, f) for f in r.__dataclass_fields__)
+        for r in result.records
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == FAULTED_FLEET_DIGEST

@@ -1,12 +1,19 @@
 """Unit tests for the discrete-event scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import OperatorProgram, compile_trace
 from repro.errors import SchedulingError
 from repro.sim.config import HardwareConfig
-from repro.sim.engine import PoseidonSimulator, in_order_makespan
+from repro.sim.engine import (
+    PoseidonSimulator,
+    ScheduleEngine,
+    in_order_makespan,
+)
 from repro.sim.tasks import OperatorKind, OperatorTask
 
 N = 1 << 14
@@ -377,3 +384,71 @@ class TestWarmEngine:
         assert merged.tasks[2].depends_on == (1,)
         validate_schedule(engine.result(), program=merged,
                          config=engine.config)
+
+
+class TestTimedForm:
+    """A program's timed form is memoized and admitted as is."""
+
+    @staticmethod
+    def _program():
+        return compile_trace([
+            FheOp.make(FheOpName.CMULT, N, 10, aux_limbs=3),
+            FheOp.make(FheOpName.ROTATION, N, 10, aux_limbs=3),
+        ])
+
+    @staticmethod
+    def _records(*submissions):
+        """Records of one fresh engine fed ``(tasks, kwargs)`` pairs."""
+        engine = ScheduleEngine()
+        for tasks, kwargs in submissions:
+            engine.submit(tasks, **kwargs)
+        engine.drain()
+        return engine.result().task_records
+
+    def test_reused_program_matches_bare_task_lists(self):
+        program = self._program()
+        bare = list(program.tasks)
+        twice = self._records((bare, {}), (bare, {}))
+        assert self._records((program, {}), (program, {})) == twice
+        once = self._records((bare, {}))
+        # Once each on two engines of one configuration: one form.
+        assert self._records((program, {})) == once
+        assert self._records((program, {})) == once
+        assert ScheduleEngine().timed_form(program) is \
+            ScheduleEngine().timed_form(program)
+
+    def test_derated_submit_between_unscaled_ones(self):
+        program = self._program()
+        bare = list(program.tasks)
+        slow = {"compute_scale": 2.0, "hbm_scale": 2.0}
+        records = self._records((program, {}), (program, slow),
+                                (program, {}))
+        assert records == self._records((bare, {}), (bare, slow),
+                                        (bare, {}))
+        n = program.task_count
+        first, derated, last = (
+            records[k * n:(k + 1) * n] for k in range(3)
+        )
+        form = ScheduleEngine().timed_form(program)
+        for k in range(n):
+            for rec in (first[k], last[k]):
+                assert rec.hbm_seconds == form.mems[k].hbm_seconds
+                assert rec.end - rec.start - rec.stall_seconds == \
+                    pytest.approx(form.durations[k])
+            assert derated[k].hbm_seconds == form.mems[k].hbm_seconds * 2.0
+            assert derated[k].end - derated[k].start \
+                - derated[k].stall_seconds == \
+                pytest.approx(form.durations[k] * 2.0)
+
+    def test_memo_dies_with_its_program(self):
+        program = self._program()
+        engine = ScheduleEngine()
+        engine.submit(program)
+        engine.submit(program, compute_scale=2.0)
+        engine.drain()
+        program_ref = weakref.ref(program)
+        form_ref = weakref.ref(engine.timed_form(program))
+        del engine, program
+        gc.collect()
+        assert program_ref() is None
+        assert form_ref() is None
