@@ -130,10 +130,11 @@ class ProgramDraft:
                 sorted(sink[p] for p in self.effective_deps(i) if p < i)
             )
             for task in tasks:
-                shifted = task.shifted(offset)
-                if not shifted.depends_on and barrier:
-                    shifted = replace(shifted, depends_on=barrier)
-                all_tasks.append(shifted)
+                if task.depends_on:
+                    task = task.shifted(offset)
+                elif barrier:
+                    task = task.with_deps(barrier)
+                all_tasks.append(task)
             boundaries.append((offset, len(all_tasks)))
             sink.append(len(all_tasks) - 1)
         return tuple(all_tasks), tuple(boundaries)

@@ -216,7 +216,7 @@ def _with_key_upload(
         )
         job_tasks = program.memo(KEY_UPLOAD_LABEL, lambda: tuple(
             task.shifted(1) if task.depends_on
-            else replace(task, depends_on=(0,))
+            else task.with_deps((0,))
             for task in program.tasks
         ))
         # The upload belongs to the first op's span.

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import SchedulingError
@@ -180,6 +181,17 @@ def _merged_length(intervals: list[tuple[float, float]]) -> float:
     return total + (cur_end - cur_start)
 
 
+#: The :class:`~repro.sim.tasks.OperatorTask` fields the core and
+#: memory models read: every field except ``depends_on`` and
+#: ``op_label``. :meth:`TimedForm.build` times each distinct
+#: combination once.
+TASK_SHAPE_FIELDS = (
+    "kind", "elements", "degree", "limbs",
+    "hbm_read_bytes", "hbm_write_bytes", "spad_bytes",
+)
+_task_shape = attrgetter(*TASK_SHAPE_FIELDS)
+
+
 #: Event kinds, ordered so arrivals at a time t are visible before the
 #: grant/dispatch passes triggered by releases at the same t, and both
 #: before completion notifications at the same t.
@@ -228,16 +240,32 @@ class TimedForm:
     def build(
         cls, tasks, cores: CoreModel, memory: MemoryModel
     ) -> "TimedForm":
-        """Run the core and memory models once per task."""
+        """Run the core and memory models once per distinct task shape.
+
+        Tasks that agree on every :data:`TASK_SHAPE_FIELDS` field time
+        identically, so they share one ``(CoreTiming, MemoryTiming,
+        duration)`` triple; dependencies are checked and de-duplicated
+        per task.
+        """
         cycle_seconds = cores.config.cycle_seconds
+        shapes: dict[tuple, tuple[CoreTiming, MemoryTiming, float]] = {}
         timings, mems, durations, deps = [], [], [], []
         dependents: list[list[int]] = []
         roots = []
         for i, task in enumerate(tasks):
-            timing = cores.task_cycles(task)
-            if timing.core not in CORE_NAMES:
-                raise SchedulingError(
-                    f"task {i} targets unknown core {timing.core!r}"
+            key = _task_shape(task)
+            timed = shapes.get(key)
+            if timed is None:
+                timing = cores.task_cycles(task)
+                if timing.core not in CORE_NAMES:
+                    raise SchedulingError(
+                        f"task {i} targets unknown core {timing.core!r}"
+                    )
+                mem = memory.task_timing(task)
+                timed = shapes[key] = (
+                    timing,
+                    mem,
+                    max(timing.cycles * cycle_seconds, mem.spad_seconds),
                 )
             local = task.depends_on
             for dep in local:
@@ -247,12 +275,10 @@ class TimedForm:
                     )
             if len(local) > 1 and len(set(local)) != len(local):
                 local = tuple(dict.fromkeys(local))
-            mem = memory.task_timing(task)
+            timing, mem, duration = timed
             timings.append(timing)
             mems.append(mem)
-            durations.append(
-                max(timing.cycles * cycle_seconds, mem.spad_seconds)
-            )
+            durations.append(duration)
             deps.append(local)
             dependents.append([])
             for dep in local:
@@ -856,15 +882,16 @@ class ScheduleEngine:
         hbm_bytes_total = 0
         records: list[TaskRecord] = []
         makespan = 0.0
-        for i, task in enumerate(self._tasks):
-            mem = self._mems[i]
-            core = self._timings[i].core
-            compute = self._timings[i].cycles * cfg.cycle_seconds
-            hbm_start, hbm_end = self._hbm_span[i]
-            busy = self._durations[i]
-            start = self._start[i]
-            end = self._end[i]
-            ready = self._ready[i]
+        for (
+            task, timing, mem, busy, (hbm_start, hbm_end), start, end,
+            ready, instance,
+        ) in zip(
+            self._tasks, self._timings, self._mems, self._durations,
+            self._hbm_span, self._start, self._end, self._ready,
+            self._instance_of,
+        ):
+            core = timing.core
+            compute = timing.cycles * cfg.cycle_seconds
             # Clamp tiny float-negative residues so stall stays a
             # physical (non-negative) quantity and monotone counters
             # downstream never see a negative increment.
@@ -882,24 +909,11 @@ class ScheduleEngine:
             operator_seconds[label][core] += busy
             records.append(
                 TaskRecord(
-                    start=start,
-                    end=end,
-                    core=core,
-                    compute_seconds=compute,
-                    hbm_seconds=mem.hbm_seconds,
-                    hbm_bytes=mem.hbm_bytes,
-                    op_label=label,
-                    queue_wait_seconds=max(core_wait, hbm_wait),
-                    hbm_start=hbm_start,
-                    hbm_end=hbm_end,
-                    instance=self._instance_of[i],
-                    ready_seconds=ready,
-                    stall_seconds=stall,
-                    core_wait_seconds=core_wait,
-                    hbm_wait_seconds=hbm_wait,
-                    hbm_channels_used=(
-                        mem.channels_used if mem.hbm_bytes else 0
-                    ),
+                    start, end, core, compute, mem.hbm_seconds,
+                    mem.hbm_bytes, label, max(core_wait, hbm_wait),
+                    hbm_start, hbm_end, instance, ready,
+                    stall, core_wait, hbm_wait,
+                    mem.channels_used if mem.hbm_bytes else 0,
                 )
             )
         return SimulationResult(
@@ -1018,43 +1032,31 @@ def in_order_makespan(
 ) -> float:
     """Makespan under the legacy one-pass in-order scheduler.
 
-    This is the pre-event-driven engine, kept verbatim as a comparison
-    oracle: it reserves the (single, fully serialized) HBM channel and
-    each core array in *submission* order, so a ready later task can
-    sit blocked behind a stalled earlier one. Tests and benchmarks use
-    it to demonstrate that the out-of-order scheduler removes that
-    head-of-line blocking (its makespan should not exceed this one on
-    the paper workloads).
+    This is the pre-event-driven engine's scheduling rule, kept as a
+    comparison oracle: it reserves the (single, fully serialized) HBM
+    channel and each core array in *submission* order, so a ready later
+    task can sit blocked behind a stalled earlier one. Tests and
+    benchmarks use it to demonstrate that the out-of-order scheduler
+    removes that head-of-line blocking (its makespan should not exceed
+    this one on the paper workloads). Task timings and dependency
+    checks come from :meth:`TimedForm.build`, as for the engine.
     """
     config = config or HardwareConfig()
-    cores = CoreModel(config)
-    memory = MemoryModel(config)
-    tasks = program.tasks
-    finish = [0.0] * len(tasks)
+    form = TimedForm.build(
+        program.tasks, CoreModel(config), MemoryModel(config)
+    )
+    finish = [0.0] * len(form.tasks)
     core_free: dict[str, float] = {name: 0.0 for name in CORE_NAMES}
     hbm_free = 0.0
     makespan = 0.0
-    for i, task in enumerate(tasks):
-        timing = cores.task_cycles(task)
-        if timing.core not in core_free:
-            raise SchedulingError(
-                f"task {i} targets unknown core {timing.core!r}"
-            )
-        compute = timing.cycles * config.cycle_seconds
-        mem = memory.task_timing(task)
-        deps_done = 0.0
-        for dep in task.depends_on:
-            if dep < 0 or dep >= i:
-                raise SchedulingError(
-                    f"task {i} has forward/invalid dependency {dep}"
-                )
-            deps_done = max(deps_done, finish[dep])
+    for i, deps in enumerate(form.deps):
+        deps_done = max((finish[dep] for dep in deps), default=0.0)
+        core = form.timings[i].core
         hbm_start = max(deps_done, hbm_free)
-        hbm_free = hbm_start + mem.hbm_seconds
-        start = max(deps_done, core_free[timing.core])
-        duration = max(compute, mem.spad_seconds)
-        task_end = max(start + duration, hbm_free)
-        core_free[timing.core] = task_end
+        hbm_free = hbm_start + form.mems[i].hbm_seconds
+        start = max(deps_done, core_free[core])
+        task_end = max(start + form.durations[i], hbm_free)
+        core_free[core] = task_end
         finish[i] = task_end
         makespan = max(makespan, task_end)
     return makespan

@@ -86,20 +86,25 @@ class OperatorTask:
             op_label=op_label,
         )
 
+    def with_deps(self, depends_on: tuple[int, ...]) -> "OperatorTask":
+        """Copy with ``depends_on`` replaced (one positional
+        construction, so validation still runs)."""
+        return OperatorTask(
+            self.kind,
+            self.elements,
+            self.degree,
+            self.limbs,
+            self.hbm_read_bytes,
+            self.hbm_write_bytes,
+            self.spad_bytes,
+            depends_on,
+            self.op_label,
+        )
+
     def shifted(self, offset: int) -> "OperatorTask":
         """Copy with dependency indices shifted by ``offset``.
 
         Used when concatenating per-operation task lists into one
         program-level list.
         """
-        return OperatorTask(
-            kind=self.kind,
-            elements=self.elements,
-            degree=self.degree,
-            limbs=self.limbs,
-            hbm_read_bytes=self.hbm_read_bytes,
-            hbm_write_bytes=self.hbm_write_bytes,
-            spad_bytes=self.spad_bytes,
-            depends_on=tuple(d + offset for d in self.depends_on),
-            op_label=self.op_label,
-        )
+        return self.with_deps(tuple([d + offset for d in self.depends_on]))

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event scheduler."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -9,12 +10,17 @@ from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import OperatorProgram, compile_trace
 from repro.errors import SchedulingError
 from repro.sim.config import HardwareConfig
+from repro.sim.cores import CoreModel
 from repro.sim.engine import (
+    TASK_SHAPE_FIELDS,
     PoseidonSimulator,
     ScheduleEngine,
+    TimedForm,
     in_order_makespan,
 )
+from repro.sim.memory import MemoryModel
 from repro.sim.tasks import OperatorKind, OperatorTask
+from repro.workloads import lstm_trace
 
 N = 1 << 14
 
@@ -452,3 +458,85 @@ class TestTimedForm:
         gc.collect()
         assert program_ref() is None
         assert form_ref() is None
+
+
+class TestShapeMemo:
+    """``TimedForm.build`` runs the models once per distinct shape."""
+
+    @staticmethod
+    def _counted_models():
+        """Fresh models whose timing calls are recorded."""
+        config = HardwareConfig()
+        cores, memory = CoreModel(config), MemoryModel(config)
+        calls = {"cores": [], "memory": []}
+        task_cycles, task_timing = cores.task_cycles, memory.task_timing
+
+        def counted_cycles(task):
+            calls["cores"].append(task)
+            return task_cycles(task)
+
+        def counted_timing(task):
+            calls["memory"].append(task)
+            return task_timing(task)
+
+        cores.task_cycles = counted_cycles
+        memory.task_timing = counted_timing
+        return cores, memory, calls
+
+    def test_models_run_once_per_shape(self):
+        tasks = compile_trace(lstm_trace(steps=1), passes="default").tasks
+        cores, memory, calls = self._counted_models()
+        form = TimedForm.build(tasks, cores, memory)
+        shapes = {
+            tuple(getattr(t, f) for f in TASK_SHAPE_FIELDS) for t in tasks
+        }
+        assert len(shapes) < len(tasks)
+        assert len(calls["cores"]) == len(calls["memory"]) == len(shapes)
+        fresh_cores = CoreModel(HardwareConfig())
+        fresh_memory = MemoryModel(HardwareConfig())
+        cycle = fresh_cores.config.cycle_seconds
+        for i, task in enumerate(tasks):
+            timing = fresh_cores.task_cycles(task)
+            mem = fresh_memory.task_timing(task)
+            assert form.timings[i] == timing
+            assert form.mems[i] == mem
+            assert form.durations[i] == max(
+                timing.cycles * cycle, mem.spad_seconds
+            )
+
+    def test_shape_key_covers_every_timed_field(self):
+        fields = [f.name for f in dataclasses.fields(OperatorTask)]
+        assert sorted(TASK_SHAPE_FIELDS) == sorted(
+            set(fields) - {"depends_on", "op_label"}
+        )
+        # A task differing from the first in one shape field is timed
+        # on its own; one differing only in label or deps is not.
+        base = OperatorTask(
+            kind=OperatorKind.MA, elements=N, degree=N, limbs=1,
+            op_label="a",
+        )
+        variants = [
+            dataclasses.replace(
+                base,
+                **{name: OperatorKind.MM if name == "kind"
+                   else getattr(base, name) + 1},
+            )
+            for name in TASK_SHAPE_FIELDS
+        ]
+        same = [base.with_deps((0,)), dataclasses.replace(base, op_label="b")]
+        cores, memory, calls = self._counted_models()
+        TimedForm.build([base, *variants, *same], cores, memory)
+        assert len(calls["cores"]) == len(calls["memory"]) == 1 + len(
+            variants
+        )
+
+    def test_forward_dependency_on_a_timed_shape_rejected(self):
+        first = simple_task(OperatorKind.MA)
+        cores, memory, calls = self._counted_models()
+        with pytest.raises(
+            SchedulingError, match="task 1 has forward/invalid dependency 2"
+        ):
+            TimedForm.build(
+                [first, first.with_deps((2,)), first], cores, memory
+            )
+        assert len(calls["cores"]) == 1
